@@ -5,7 +5,6 @@ Fisher-style combination, samplers for the null and the heavy-tailed /
 FvML alternatives, and a reproducible Monte Carlo harness.
 """
 
-from ._kernels import active_backend
 from .experiments import (
     DiagnosticReport,
     ExperimentPlan,
@@ -53,7 +52,6 @@ __all__ = [
     "SeedSpec",
     "SphericalSample",
     "TestOutcome",
-    "active_backend",
     "bingham_statistic",
     "cdf",
     "draw_marginal",

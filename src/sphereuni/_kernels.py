@@ -1,99 +1,40 @@
-"""Pairwise inner-product reduction kernels.
+"""Pairwise inner-product reduction.
 
-Two interchangeable backends compute the same three reductions over all
-row pairs i < j of an (n, p) matrix of unit rows:
-
-    sum of inner products, sum of squared inner products,
-    and the largest absolute inner product.
-
-``numpy`` builds the Gram matrix with BLAS and reduces it; ``numba``
-fuses everything into one jitted pass that never materializes the n x n
-Gram matrix.  Select with the SPHEREUNI_BACKEND environment variable
-("numpy", "numba", or "auto"; auto prefers numba when importable).
-Within one backend the result is deterministic for a given input.
+Reduces all row pairs i < j of an (n, p) matrix of unit rows to the sum
+of inner products, the sum of squared inner products and the largest
+absolute inner product.  Up to _TILE rows one BLAS Gram matrix is reduced
+at once; beyond that the Gram matrix is reduced in row tiles
+rows[i:i+_TILE] @ rows[i:].T, so extra memory is O(_TILE * n), not O(n^2).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "active_backend",
-    "pairwise_reduce",
-    "pairwise_reduce_numpy",
-    "pairwise_reduce_numba",
-]
+__all__ = ["pairwise_reduce"]
 
-
-def pairwise_reduce_numpy(rows: np.ndarray) -> tuple[float, float, float]:
-    """Gram-identity reduction: sums via ||sum x_i||^2 and ||X X^T||_F^2."""
-    n = rows.shape[0]
-    s = rows.sum(axis=0)
-    sum_inner = (float(s @ s) - n) / 2.0
-    gram = rows @ rows.T
-    sum_inner_sq = (float(np.einsum("ij,ij->", gram, gram)) - n) / 2.0
-    np.fill_diagonal(gram, 0.0)
-    max_abs = float(np.abs(gram).max())
-    return sum_inner, sum_inner_sq, max_abs
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True, fastmath=True, nogil=True)
-    def _pairwise_reduce_jit(rows):  # pragma: no cover - exercised via wrapper
-        n, p = rows.shape
-        s1 = 0.0
-        s2 = 0.0
-        m = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                g = 0.0
-                for k in range(p):
-                    g += rows[i, k] * rows[j, k]
-                s1 += g
-                s2 += g * g
-                a = abs(g)
-                if a > m:
-                    m = a
-        return s1, s2, m
-
-    def pairwise_reduce_numba(rows: np.ndarray) -> tuple[float, float, float]:
-        """Fused single-pass reduction; no n x n temporary."""
-        s1, s2, m = _pairwise_reduce_jit(np.ascontiguousarray(rows))
-        return float(s1), float(s2), float(m)
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    pairwise_reduce_numba = None
-    _HAVE_NUMBA = False
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get("SPHEREUNI_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numpy", "numba"):
-        raise ValueError(
-            f"SPHEREUNI_BACKEND must be 'auto', 'numpy' or 'numba', got {choice!r}"
-        )
-    if choice == "numba" and not _HAVE_NUMBA:
-        raise ImportError("SPHEREUNI_BACKEND=numba but numba is not importable")
-    if choice == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    return choice
-
-
-_BACKEND = _resolve_backend()
-
-
-def active_backend() -> str:
-    """Name of the backend pairwise_reduce dispatches to."""
-    return _BACKEND
+# rows per Gram tile; up to this many rows the one-shot Gram matrix is faster
+_TILE = 256
 
 
 def pairwise_reduce(rows: np.ndarray) -> tuple[float, float, float]:
     """(sum, sum of squares, max abs) of inner products over row pairs i < j."""
-    if _BACKEND == "numba":
-        return pairwise_reduce_numba(rows)
-    return pairwise_reduce_numpy(rows)
+    n = rows.shape[0]
+    s = rows.sum(axis=0)
+    sum_inner = (float(s @ s) - n) / 2.0
+    if n <= _TILE:
+        gram = rows @ rows.T
+        sum_inner_sq = (float(np.einsum("ij,ij->", gram, gram)) - n) / 2.0
+        np.fill_diagonal(gram, 0.0)
+        return sum_inner, sum_inner_sq, float(np.abs(gram).max())
+    sum_inner_sq = 0.0
+    maxima = []
+    for i in range(0, n, _TILE):
+        tile = rows[i : i + _TILE] @ rows[i:].T
+        b = tile.shape[0]
+        # the leading b x b block holds pairs within the tile: keep j > i only
+        tile[:, :b] = np.triu(tile[:, :b], k=1)
+        sum_inner_sq += float(np.einsum("ij,ij->", tile, tile))
+        maxima.append(np.abs(tile).max())
+    # np.max, unlike the builtin, propagates a NaN from any tile
+    return sum_inner, sum_inner_sq, float(np.max(maxima))

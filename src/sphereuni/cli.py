@@ -127,6 +127,7 @@ def load_data_csv(path: str) -> SphericalSample:
         raise CliError(f"cannot read input file {path}: {exc}") from exc
 
     rows: list[list[float]] = []
+    linenos: list[int] = []
     width: int | None = None
     header_allowed = True
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -155,10 +156,16 @@ def load_data_csv(path: str) -> SphericalSample:
                 f"{path}: row {lineno} has {len(parsed)} columns, expected {width}"
             )
         rows.append(parsed)
+        linenos.append(lineno)
 
     if len(rows) < 3:
         raise CliError(f"{path}: need at least 3 observations, found {len(rows)}")
     data = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(data).all():
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        raise CliError(
+            f"{path}: non-finite value {data[r, c]} at row {linenos[r]}, column {c + 1}"
+        )
     norms = np.linalg.norm(data, axis=1)
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0]) + 1
@@ -332,14 +339,21 @@ def _rate_table(
     """Rejection-rate grid; rows are test (x marginal), columns scenarios."""
     columns = [f"n{n}_p{p}" for n, p in scenarios]
     cells: dict[tuple[str, str | None, str], float] = {}
-    for label, model in models:
-        for (n, p), column in zip(scenarios, columns):
-            plan = ExperimentPlan(
+    try:
+        # build every plan first, so a bad cell fails before any cell runs
+        plans = {
+            (label, column): ExperimentPlan(
                 n=n, p=p, model=model, replications=reps, level=level, master_seed=seed
             )
+            for label, model in models
+            for (n, p), column in zip(scenarios, columns)
+        }
+        for (label, column), plan in plans.items():
             result = run_rejection_experiment(plan, threads=threads)
             for test, agg in result.per_test.items():
                 cells[(test, label, column)] = agg.rate
+    except ValueError as exc:  # bad reps, level, scenario or thread count
+        raise CliError(str(exc)) from exc
     rows = []
     for test in ("fisher", "rayleigh", "packing", "bingham"):
         for label, _model in models:
@@ -438,6 +452,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     threads = int(_resolve(args, config_file, "threads", 0))
     marginal_spec = _resolve(args, config_file, "marginal", "cauchy")
     tau = float(_resolve(args, config_file, "tau", 1.0))
+    if n < 3:
+        raise CliError(f"diagnostics need --n >= 3, got {n}")
 
     try:
         if args.kind == "rayleigh-blindness":

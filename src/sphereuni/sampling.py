@@ -69,7 +69,7 @@ class SphericalSample:
             raise ValueError(f"rows must have shape ({self.n}, {self.p})")
         norms = np.linalg.norm(self.rows, axis=1)
         worst = float(np.abs(norms - 1.0).max())
-        if worst > UNIT_NORM_TOL:
+        if not worst <= UNIT_NORM_TOL:  # also rejects NaN rows
             raise ValueError(f"row norms deviate from 1 by up to {worst:.3e}")
 
     @classmethod

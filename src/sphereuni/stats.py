@@ -55,7 +55,7 @@ class TestOutcome:
 
 
 def pairwise_summary(sample: SphericalSample) -> PairwiseSummary:
-    """One pass over the pairs; backend chosen by SPHEREUNI_BACKEND."""
+    """Reduce all row pairs i < j; beyond 256 rows the Gram matrix is tiled."""
     if sample.n < 2:
         raise ValueError("pairwise statistics need n >= 2")
     s1, s2, m = _kernels.pairwise_reduce(sample.rows)

@@ -101,6 +101,14 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert "row 5, column 2" in err
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_cell_location(self, tmp_path, capsys, cell):
+        data = tmp_path / "inf.csv"
+        data.write_text(f"x,y\n1.0,0.0\n0.0,1.0\n0.6,{cell}\n")
+        assert run_cli("test", str(data)) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "row 4, column 2" in err
+
     def test_unreadable_file(self, tmp_path):
         assert run_cli("test", str(tmp_path / "missing.csv")) == 2
 
@@ -227,6 +235,22 @@ class TestDiagnose:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("size-table", "--reps", "0"), "replications must be >= 1"),
+            (("size-table", "--reps", "1", "--threads", "-1"), "threads must be >= 0"),
+            (("size-table", "--reps", "1", "--scenarios", "2x3"), "need n >= 3"),
+            (("diagnose", "packing-lln", "--n", "2", "--reps", "5"), "--n >= 3"),
+        ],
+        ids=["reps-0", "negative-threads", "scenario-n2", "diagnose-n2"],
+    )
+    def test_usage_error_is_exit_2(self, capsys, argv, message):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_internal_error_is_exit_1(self, tmp_path, monkeypatch):
         data = tmp_path / "u.csv"
         run_cli("sample", "--model", "uniform", "--n", "10", "--p", "4",

@@ -50,6 +50,12 @@ class TestSphericalSample:
         with pytest.raises(ValueError):
             SphericalSample.from_rows(np.array([[1.0, 1.0]]))
 
+    def test_rejects_nan_row(self):
+        rows = np.eye(3, 4)
+        rows[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            SphericalSample.from_rows(rows)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             SphericalSample(n=2, p=2, rows=np.eye(3))

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from sphereuni import _kernels
-from sphereuni.oracles import random_rotation
+from sphereuni.oracles import brute_statistics, random_rotation
 from sphereuni.sampling import SeedSpec, SphericalSample, sample_uniform_sphere
 from sphereuni.stats import (
     bingham_statistic,
@@ -60,16 +61,30 @@ class TestPairwiseSummary:
         assert 0.0 <= s.max_abs_inner <= 1.0 + 1e-12
         assert s.sum_inner_sq >= s.max_abs_inner**2
 
-    @pytest.mark.skipif(_kernels.pairwise_reduce_numba is None, reason="numba unavailable")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(73)
-        for n, p in ((2, 1), (3, 7), (40, 5), (64, 64)):
-            z = rng.standard_normal((n, p))
-            rows = z / np.linalg.norm(z, axis=1)[:, None]
-            a = _kernels.pairwise_reduce_numpy(rows)
-            b = _kernels.pairwise_reduce_numba(rows)
-            for x, y in zip(a, b):
-                assert x == pytest.approx(y, rel=1e-9, abs=1e-12)
+    # n straddles the 256-row tile: one-shot up to 256, tiled beyond (partial last tile)
+    @pytest.mark.parametrize("p", [1, 5, 100])
+    @pytest.mark.parametrize("n", [3, 255, 256, 257, 513])
+    def test_matches_brute_force_across_tile_boundary(self, n, p):
+        sample = sample_uniform_sphere(n, p, SeedSpec(73, n * 1000 + p))
+        summary = pairwise_summary(sample)
+        fast = (
+            rayleigh_statistic(summary),
+            bingham_statistic(summary),
+            packing_statistic(summary),
+        )
+        for got, want in zip(fast, brute_statistics(sample)):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_tiled_peak_memory(self):
+        # the one-shot Gram matrix alone would take 2000^2 * 8 B = 32 MB
+        sample = sample_uniform_sphere(2000, 100, SeedSpec(74))
+        tracemalloc.start()
+        try:
+            pairwise_summary(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRayleigh:
