@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from datetime import datetime, timezone
@@ -68,7 +69,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -79,14 +80,35 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag if given, else config-file value, else the hard default."""
+def _integer(value) -> int:
+    """int() that refuses to truncate: 3.0 and "3" pass, 2.5 and inf do not."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _output_format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError("expected csv or json")
+    return value
+
+
+def _resolve(args: argparse.Namespace, config: dict, key: str, default, convert=str):
+    """Flag if given, else the config-file value through `convert`, else the default.
+
+    Flags arrive typed from argparse; a config value of the wrong type is
+    a config error naming its key.  A null config value counts as unset.
+    """
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    value = config.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
 
 
 def _timestamp() -> str:
@@ -123,7 +145,7 @@ def load_data_csv(path: str) -> SphericalSample:
     """Read an observations-by-rows CSV, normalizing near-unit rows."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read input file {path}: {exc}") from exc
 
     rows: list[list[float]] = []
@@ -166,17 +188,23 @@ def load_data_csv(path: str) -> SphericalSample:
         raise CliError(
             f"{path}: non-finite value {data[r, c]} at row {linenos[r]}, column {c + 1}"
         )
-    norms = np.linalg.norm(data, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0]) + 1
+    # scale each row by its largest |x| first, so norms of finite rows
+    # neither overflow (1e200) nor underflow to zero (1e-200)
+    scale = np.maximum(data.max(axis=1), -data.min(axis=1))  # max |x| with no n x p temporary
+    if np.any(scale == 0.0):
+        bad = int(np.flatnonzero(scale == 0.0)[0]) + 1
         raise CliError(f"{path}: observation {bad} is a zero vector")
-    if np.abs(norms - 1.0).max() > NORMALIZE_NOTICE_TOL:
+    data = data / scale[:, None]
+    norms = np.linalg.norm(data, axis=1)
+    with np.errstate(over="ignore"):
+        deviation = np.abs(scale * norms - 1.0).max()
+    if deviation > NORMALIZE_NOTICE_TOL:
         print(
             f"notice: input rows deviate from unit norm by up to "
-            f"{np.abs(norms - 1.0).max():.3e}; renormalizing",
+            f"{deviation:.3e}; renormalizing",
             file=sys.stderr,
         )
-    data = data / norms[:, None]
+    data /= norms[:, None]
     return SphericalSample.from_rows(data)
 
 
@@ -231,8 +259,8 @@ def build_model(model: str, marginal: str | None, kappa: float) -> AlternativeMo
             raise CliError("--model alpha-spherical needs --marginal")
         return AlternativeModel.alpha_spherical(parse_marginal(marginal))
     if model == "fvml":
-        if kappa < 0:
-            raise CliError("--kappa must be >= 0")
+        if not 0.0 <= kappa < math.inf:
+            raise CliError(f"--kappa must be finite and >= 0, got {kappa}")
         return AlternativeModel.fvml(kappa)
     raise CliError(f"unknown model {model!r}; expected uniform, alpha-spherical or fvml")
 
@@ -259,8 +287,8 @@ def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:
 
 def cmd_test(args: argparse.Namespace) -> int:
     config_file = _load_config(args.config)
-    level = float(_resolve(args, config_file, "level", 0.05))
-    fmt = _resolve(args, config_file, "format", "csv")
+    level = _resolve(args, config_file, "level", 0.05, float)
+    fmt = _resolve(args, config_file, "format", "csv", _output_format)
     sample = load_data_csv(args.input)
     try:
         outcomes = run_all_tests(sample, level)
@@ -304,10 +332,10 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config_file = _load_config(args.config)
-    n = int(_resolve(args, config_file, "n", 100))
-    p = int(_resolve(args, config_file, "p", 100))
-    seed = int(_resolve(args, config_file, "seed", 0))
-    kappa = float(_resolve(args, config_file, "kappa", 0.0))
+    n = _resolve(args, config_file, "n", 100, _integer)
+    p = _resolve(args, config_file, "p", 100, _integer)
+    seed = _resolve(args, config_file, "seed", 0, _integer)
+    kappa = _resolve(args, config_file, "kappa", 0.0, float)
     model_name = _resolve(args, config_file, "model", "uniform")
     marginal = _resolve(args, config_file, "marginal", None)
     model = build_model(model_name, marginal, kappa)
@@ -384,11 +412,11 @@ def _emit_table(args: argparse.Namespace, rows: list[dict], config: dict) -> Non
 
 def cmd_size_table(args: argparse.Namespace) -> int:
     config_file = _load_config(args.config)
-    reps = int(_resolve(args, config_file, "reps", 2000))
-    level = float(_resolve(args, config_file, "level", 0.05))
-    seed = int(_resolve(args, config_file, "seed", 0))
-    threads = int(_resolve(args, config_file, "threads", 0))
-    fmt = _resolve(args, config_file, "format", "csv")
+    reps = _resolve(args, config_file, "reps", 2000, _integer)
+    level = _resolve(args, config_file, "level", 0.05, float)
+    seed = _resolve(args, config_file, "seed", 0, _integer)
+    threads = _resolve(args, config_file, "threads", 0, _integer)
+    fmt = _resolve(args, config_file, "format", "csv", _output_format)
     scenarios_spec = _resolve(args, config_file, "scenarios", None)
     scenarios = (
         parse_scenarios(scenarios_spec) if scenarios_spec else TABLE1_SCENARIOS
@@ -411,11 +439,11 @@ def cmd_size_table(args: argparse.Namespace) -> int:
 
 def cmd_power_table(args: argparse.Namespace) -> int:
     config_file = _load_config(args.config)
-    reps = int(_resolve(args, config_file, "reps", 2000))
-    level = float(_resolve(args, config_file, "level", 0.05))
-    seed = int(_resolve(args, config_file, "seed", 0))
-    threads = int(_resolve(args, config_file, "threads", 0))
-    fmt = _resolve(args, config_file, "format", "csv")
+    reps = _resolve(args, config_file, "reps", 2000, _integer)
+    level = _resolve(args, config_file, "level", 0.05, float)
+    seed = _resolve(args, config_file, "seed", 0, _integer)
+    threads = _resolve(args, config_file, "threads", 0, _integer)
+    fmt = _resolve(args, config_file, "format", "csv", _output_format)
     scenarios_spec = _resolve(args, config_file, "scenarios", None)
     scenarios = (
         parse_scenarios(scenarios_spec) if scenarios_spec else TABLE1_SCENARIOS
@@ -444,14 +472,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             f"unknown diagnostic {args.kind!r}; valid kinds: {', '.join(DIAGNOSE_KINDS)}"
         )
     config_file = _load_config(args.config)
-    n = int(_resolve(args, config_file, "n", 100))
-    p = int(_resolve(args, config_file, "p", 100))
-    reps = int(_resolve(args, config_file, "reps", 2000))
-    level = float(_resolve(args, config_file, "level", 0.05))
-    seed = int(_resolve(args, config_file, "seed", 0))
-    threads = int(_resolve(args, config_file, "threads", 0))
+    n = _resolve(args, config_file, "n", 100, _integer)
+    p = _resolve(args, config_file, "p", 100, _integer)
+    reps = _resolve(args, config_file, "reps", 2000, _integer)
+    level = _resolve(args, config_file, "level", 0.05, float)
+    seed = _resolve(args, config_file, "seed", 0, _integer)
+    threads = _resolve(args, config_file, "threads", 0, _integer)
     marginal_spec = _resolve(args, config_file, "marginal", "cauchy")
-    tau = float(_resolve(args, config_file, "tau", 1.0))
+    tau = _resolve(args, config_file, "tau", 1.0, float)
     if n < 3:
         raise CliError(f"diagnostics need --n >= 3, got {n}")
 

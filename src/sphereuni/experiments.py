@@ -1,32 +1,35 @@
 """Seeded Monte Carlo experiments: size/power tables and asymptotic diagnostics.
 
-Every replication i draws its sample from the stream (master_seed, i),
-so results are identical no matter how many worker threads run them.
-Aggregation only ever sums integer tallies and reduces arrays indexed by
-replication, which keeps it schedule-independent.
+The engine is summary-first.  Replication i draws its sample from the
+stream (master_seed, i) and keeps only the kernel's three pairwise
+reductions (sum, sum of squares, max |g|) as row i of an (R, 3) array.
+Statistics, p-values and rejections of all four tests are then computed
+once, vectorized over replications, through the same
+``stats.evaluate_tests`` that ``run_all_tests`` uses for a single sample.
+
+Replications run serially.  On a 2-vCPU host a thread pool made a
+size-table cell slower at OpenBLAS's default thread count, so the
+``threads`` argument is validated but has no effect on how the loop runs;
+results are therefore identical for every requested count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from . import stats as stats_mod
-from .nulldist import NullLaw, upper_p_value
+from . import _kernels
 from .sampling import (
     AlternativeModel,
     HeavyTailMarginal,
     SeedSpec,
     sample_from_model,
 )
-from .stats import TestOutcome, run_all_tests
+from .stats import TEST_NAMES, PairwiseSummary, evaluate_tests
 
 __all__ = [
     "TEST_NAMES",
@@ -45,8 +48,6 @@ __all__ = [
     "run_fvml_packing_blindness",
     "fvml_kappa",
 ]
-
-TEST_NAMES = ("rayleigh", "bingham", "packing", "fisher")
 
 # scenario triple from the published size table; the accompanying prose
 # instead lists (80, 100), which PROSE_SCENARIOS keeps reachable
@@ -119,47 +120,10 @@ class DiagnosticReport:
 
 
 def _resolve_workers(threads: int) -> int:
+    """Workers actually used for a requested thread count: always 1."""
     if threads < 0:
         raise ValueError("threads must be >= 0")
-    if threads == 0:
-        return min(8, os.cpu_count() or 1)
-    return threads
-
-
-def _map_replications(fn: Callable[[int], object], replications: int, threads: int) -> list:
-    """Apply fn to every replication index, results in index order."""
-    workers = _resolve_workers(threads)
-    if workers == 1 or replications == 1:
-        return [fn(i) for i in range(replications)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replications)))
-
-
-def _one_replication(
-    model: AlternativeModel, n: int, p: int, level: float, master_seed: int, index: int
-) -> dict[str, TestOutcome]:
-    try:
-        sample = sample_from_model(model, n, p, SeedSpec(master_seed, index))
-        if n >= 3:
-            outcomes = run_all_tests(sample, level)
-        else:
-            # n=2 is legal only for plans without packing/fisher
-            summary = stats_mod.pairwise_summary(sample)
-            outcomes = []
-            for name, stat in (
-                ("rayleigh", stats_mod.rayleigh_statistic(summary)),
-                ("bingham", stats_mod.bingham_statistic(summary)),
-            ):
-                p_val = upper_p_value(NullLaw.STANDARD_NORMAL, stat)
-                outcomes.append(
-                    TestOutcome(
-                        test=name, statistic=stat, p_value=p_val,
-                        reject=p_val <= level, level=level,
-                    )
-                )
-    except Exception as exc:
-        raise RuntimeError(f"replication {index} failed: {exc}") from exc
-    return {o.test: o for o in outcomes}
+    return 1
 
 
 def _collect(
@@ -167,24 +131,33 @@ def _collect(
     n: int,
     p: int,
     replications: int,
-    level: float,
     master_seed: int,
     threads: int,
     seed_offset: int = 0,
-) -> dict[str, dict[str, np.ndarray]]:
-    """Statistic and rejection arrays per test, indexed by replication."""
-    rows = _map_replications(
-        lambda i: _one_replication(model, n, p, level, master_seed, seed_offset + i),
-        replications,
-        threads,
+) -> PairwiseSummary:
+    """Pairwise reductions of replications seed_offset .. seed_offset+R-1 as (R,) arrays."""
+    SeedSpec(master_seed, seed_offset)  # a bad seed is a usage error, not a failed replication
+    _resolve_workers(threads)  # a negative count is a usage error
+    reductions = np.empty((replications, 3))
+    for k in range(replications):
+        index = seed_offset + k
+        try:
+            sample = sample_from_model(model, n, p, SeedSpec(master_seed, index))
+            reductions[k] = _kernels.pairwise_reduce(sample.rows)
+        except Exception as exc:
+            raise RuntimeError(f"replication {index} failed: {exc}") from exc
+
+    bad = np.flatnonzero(~np.isfinite(reductions).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise RuntimeError(
+            f"replication {seed_offset + k} failed: "
+            f"pairwise reductions {reductions[k].tolist()} are not finite"
+        )
+    return PairwiseSummary(
+        n=n, p=p, sum_inner=reductions[:, 0], sum_inner_sq=reductions[:, 1],
+        max_abs_inner=reductions[:, 2],
     )
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for name in rows[0]:
-        out[name] = {
-            "statistic": np.array([r[name].statistic for r in rows]),
-            "reject": np.array([r[name].reject for r in rows], dtype=bool),
-        }
-    return out
 
 
 def _aggregate(statistic: np.ndarray, reject: np.ndarray) -> TestAggregate:
@@ -207,14 +180,15 @@ def _aggregate(statistic: np.ndarray, reject: np.ndarray) -> TestAggregate:
 def run_rejection_experiment(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Monte Carlo rejection rates for the planned tests.
 
-    Replications may run concurrently; each one draws from its own
-    stream (master_seed, i), so the result depends only on the plan.
+    Replication i draws from its own stream (master_seed, i), so the result
+    depends only on the plan; ``threads`` is validated and otherwise unused.
     """
-    collected = _collect(
-        plan.model, plan.n, plan.p, plan.replications, plan.level, plan.master_seed, threads
+    summary = _collect(
+        plan.model, plan.n, plan.p, plan.replications, plan.master_seed, threads
     )
+    results = evaluate_tests(summary, plan.level, plan.tests)
     per_test = {
-        name: _aggregate(collected[name]["statistic"], collected[name]["reject"])
+        name: _aggregate(results[name].statistic, results[name].reject)
         for name in plan.tests
     }
     return ExperimentResult(
@@ -247,15 +221,16 @@ def run_rayleigh_blindness_diagnostic(
     symmetric heavy-tailed alternative (where it is asymptotically blind)."""
     _require_symmetric(marginal, "rayleigh blindness diagnostic")
     model = AlternativeModel.alpha_spherical(marginal)
-    collected = _collect(model, n, p, replications, level, master_seed, threads)
-    values = collected["rayleigh"]["statistic"]
+    summary = _collect(model, n, p, replications, master_seed, threads)
+    results = evaluate_tests(summary, level, ("rayleigh",))
+    values = results["rayleigh"].statistic
     ks = scipy_stats.kstest(values, "norm")
     return DiagnosticReport(
         kind="rayleigh-blindness",
         metrics={
             "ks_distance": float(ks.statistic),
             "ks_pvalue": float(ks.pvalue),
-            "rejection_rate": float(collected["rayleigh"]["reject"].mean()),
+            "rejection_rate": float(results["rayleigh"].reject.mean()),
             "stat_mean": float(values.mean()),
             "stat_sd": float(values.std(ddof=1)),
         },
@@ -277,8 +252,9 @@ def run_bingham_scaling_diagnostic(
     alpha = _require_tail_index(marginal, "bingham scaling diagnostic")
     gamma = p / n
     model = AlternativeModel.alpha_spherical(marginal)
-    collected = _collect(model, n, p, replications, level, master_seed, threads)
-    scaled = math.sqrt(n) / p * collected["bingham"]["statistic"]
+    summary = _collect(model, n, p, replications, master_seed, threads)
+    results = evaluate_tests(summary, level, ("bingham",))
+    scaled = math.sqrt(n) / p * results["bingham"].statistic
     theoretical_sd = (2.0 - alpha) / math.sqrt(8.0 * gamma)
     empirical_sd = float(scaled.std(ddof=1))
     return DiagnosticReport(
@@ -290,15 +266,9 @@ def run_bingham_scaling_diagnostic(
             "empirical_sd": empirical_sd,
             "theoretical_sd": theoretical_sd,
             "sd_ratio": empirical_sd / theoretical_sd,
-            "rejection_rate": float(collected["bingham"]["reject"].mean()),
+            "rejection_rate": float(results["bingham"].reject.mean()),
         },
     )
-
-
-def _max_abs_from_packing(packing: np.ndarray, n: int, p: int) -> np.ndarray:
-    # invert packing = p*m^2 - 4 log n + log log n
-    m2 = (packing + 4.0 * math.log(n) - math.log(math.log(n))) / p
-    return np.sqrt(np.maximum(m2, 0.0))
 
 
 def run_packing_lln_diagnostic(
@@ -318,15 +288,17 @@ def run_packing_lln_diagnostic(
     """
     if isinstance(model, HeavyTailMarginal):
         model = AlternativeModel.alpha_spherical(model)
-    collected = _collect(model, n, p, replications, level, master_seed, threads)
-    max_abs = _max_abs_from_packing(collected["packing"]["statistic"], n, p)
+    summary = _collect(model, n, p, replications, master_seed, threads)
+    max_abs = summary.max_abs_inner
     return DiagnosticReport(
         kind="packing-lln",
         metrics={
             "median_max_abs_inner": float(np.quantile(max_abs, 0.5)),
             "q10_max_abs_inner": float(np.quantile(max_abs, 0.1)),
             "null_max_reference": math.sqrt(4.0 * math.log(n) / p),
-            "packing_rate": float(collected["packing"]["reject"].mean()),
+            "packing_rate": float(
+                evaluate_tests(summary, level, ("packing",))["packing"].reject.mean()
+            ),
         },
     )
 
@@ -347,12 +319,11 @@ def run_independence_diagnostic(
             f"expects p well above (log n)^2 = {math.log(n) ** 2:.1f}",
             stacklevel=2,
         )
-    collected = _collect(
-        AlternativeModel.uniform(), n, p, replications, level, master_seed, threads
-    )
-    r = collected["rayleigh"]["statistic"]
-    b = collected["bingham"]["statistic"]
-    pk = collected["packing"]["statistic"]
+    summary = _collect(AlternativeModel.uniform(), n, p, replications, master_seed, threads)
+    results = evaluate_tests(summary, level)
+    r = results["rayleigh"].statistic
+    b = results["bingham"].statistic
+    pk = results["packing"].statistic
     below = [(v <= np.quantile(v, 0.5)) for v in (r, b, pk)]
     joint = float((below[0] & below[1] & below[2]).mean())
     return DiagnosticReport(
@@ -363,7 +334,7 @@ def run_independence_diagnostic(
             "corr_bp": float(np.corrcoef(b, pk)[0, 1]),
             "joint_at_medians": joint,
             "joint_vs_product_gap": abs(joint - 0.125),
-            "fisher_size": float(collected["fisher"]["reject"].mean()),
+            "fisher_size": float(results["fisher"].reject.mean()),
         },
     )
 
@@ -394,18 +365,21 @@ def run_fvml_packing_blindness(
     if p < 2:
         raise ValueError("need p >= 2")
     kappa = fvml_kappa(n, p, tau)
-    alt = _collect(
-        AlternativeModel.fvml(kappa), n, p, replications, level, master_seed, threads
+    tests = ("rayleigh", "packing")
+    alt = evaluate_tests(
+        _collect(AlternativeModel.fvml(kappa), n, p, replications, master_seed, threads),
+        level, tests,
     )
-    null = _collect(
-        AlternativeModel.uniform(), n, p, replications, level, master_seed, threads,
-        seed_offset=replications,
+    null = evaluate_tests(
+        _collect(
+            AlternativeModel.uniform(), n, p, replications, master_seed, threads,
+            seed_offset=replications,
+        ),
+        level, tests,
     )
-    packing_rate = float(alt["packing"]["reject"].mean())
-    packing_rate_null = float(null["packing"]["reject"].mean())
-    ks = scipy_stats.ks_2samp(
-        alt["packing"]["statistic"], null["packing"]["statistic"]
-    )
+    packing_rate = float(alt["packing"].reject.mean())
+    packing_rate_null = float(null["packing"].reject.mean())
+    ks = scipy_stats.ks_2samp(alt["packing"].statistic, null["packing"].statistic)
     return DiagnosticReport(
         kind="fvml-blindness",
         metrics={
@@ -413,8 +387,8 @@ def run_fvml_packing_blindness(
             "packing_rate": packing_rate,
             "packing_rate_null": packing_rate_null,
             "packing_rate_gap": abs(packing_rate - packing_rate_null),
-            "rayleigh_rate": float(alt["rayleigh"]["reject"].mean()),
-            "rayleigh_rate_null": float(null["rayleigh"]["reject"].mean()),
+            "rayleigh_rate": float(alt["rayleigh"].reject.mean()),
+            "rayleigh_rate_null": float(null["rayleigh"].reject.mean()),
             "ks_distance_packing_vs_null": float(ks.statistic),
             "ks_pvalue_packing_vs_null": float(ks.pvalue),
         },

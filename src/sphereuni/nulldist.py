@@ -9,6 +9,11 @@ All three tests reject in the upper tail, so p-values are survival
 probabilities.  The normal CDF goes through the complementary error
 function (scipy's ``ndtr``/``ndtri``), which stays accurate deep in both
 tails; the Gumbel law has closed forms throughout.
+
+``cdf`` and ``upper_p_value`` work elementwise: a scalar argument gives a
+float, an array gives an array.  Scalars go through the same numpy code
+as arrays, so a p-value computed for one sample is bit-identical to the
+same entry of a vectorized Monte Carlo run.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
 from scipy.special import ndtr, ndtri
 
 __all__ = ["NullLaw", "cdf", "quantile", "upper_p_value", "GUMBEL_RATE"]
@@ -23,29 +29,39 @@ __all__ = ["NullLaw", "cdf", "quantile", "upper_p_value", "GUMBEL_RATE"]
 # (8*pi)**-0.5, the rate constant in front of exp(-x/2)
 GUMBEL_RATE = 1.0 / math.sqrt(8.0 * math.pi)
 
+# exp(-x/2) overflows float64 below x ~ -1420, where the Gumbel CDF is 0;
+# clamping the exponent here gives exactly 0 (cdf) and 1 (p-value) there
+_MAX_EXPONENT = 700.0
+
 
 class NullLaw(enum.Enum):
     STANDARD_NORMAL = "standard_normal"
     PACKING_GUMBEL = "packing_gumbel"
 
 
-def _check_finite(x: float, what: str) -> float:
-    x = float(x)
-    if math.isnan(x):
+def _as_array(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
         raise ValueError(f"{what} must not be NaN")
     return x
 
 
-def cdf(law: NullLaw, x: float) -> float:
+def _unwrap(values: np.ndarray) -> float | np.ndarray:
+    """A float for a 0-d result (scalar argument), else the array itself."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _gumbel_tail_term(x: np.ndarray) -> np.ndarray:
+    """GUMBEL_RATE * exp(-x/2), so that G(x) = exp(-term)."""
+    return GUMBEL_RATE * np.exp(np.minimum(-0.5 * x, _MAX_EXPONENT))
+
+
+def cdf(law: NullLaw, x):
     """P(statistic <= x) under the null law."""
-    x = _check_finite(x, "x")
+    values = _as_array(x, "x")
     if law is NullLaw.STANDARD_NORMAL:
-        return float(ndtr(x))
-    # exp(-x/2) overflows float64 below x ~ -1420; the CDF is 0 there anyway
-    t = -0.5 * x
-    if t > 700.0:
-        return 0.0
-    return math.exp(-GUMBEL_RATE * math.exp(t))
+        return _unwrap(ndtr(values))
+    return _unwrap(np.exp(-_gumbel_tail_term(values)))
 
 
 def quantile(law: NullLaw, u: float) -> float:
@@ -58,16 +74,13 @@ def quantile(law: NullLaw, u: float) -> float:
     return -2.0 * math.log(-math.log(u) / GUMBEL_RATE)
 
 
-def upper_p_value(law: NullLaw, statistic: float) -> float:
+def upper_p_value(law: NullLaw, statistic):
     """Upper-tail p-value 1 - cdf(law, statistic), clamped to [0, 1]."""
-    statistic = _check_finite(statistic, "statistic")
+    values = _as_array(statistic, "statistic")
     if law is NullLaw.STANDARD_NORMAL:
-        p = float(ndtr(-statistic))
+        p = ndtr(-values)
     else:
-        t = -0.5 * statistic
-        if t > 700.0:
-            p = 1.0
-        else:
-            # 1 - exp(-r*exp(t)) via expm1 keeps precision when G is near 1
-            p = -math.expm1(-GUMBEL_RATE * math.exp(t))
-    return min(1.0, max(0.0, p))
+        # 1 - exp(-term) via expm1 keeps precision when G is near 1
+        p = -np.expm1(-_gumbel_tail_term(values))
+    # minimum/maximum rather than np.clip, whose Python overhead dominates a scalar call
+    return _unwrap(np.minimum(np.maximum(p, 0.0), 1.0))

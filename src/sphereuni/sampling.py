@@ -9,6 +9,7 @@ samples no matter where or when they run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,8 +156,8 @@ class AlternativeModel:
         if self.kind == "alpha_spherical" and self.marginal is None:
             raise ValueError("alpha_spherical model needs a marginal")
         if self.kind == "fvml":
-            if self.kappa < 0:
-                raise ValueError("kappa must be >= 0")
+            if not 0.0 <= self.kappa < math.inf:  # also rejects NaN
+                raise ValueError("kappa must be finite and >= 0")
             if self.direction is not None:
                 d = np.asarray(self.direction, dtype=np.float64)
                 if d.ndim != 1:
@@ -265,12 +266,17 @@ def _fvml_cosines(n: int, p: int, kappa: float, rng: np.random.Generator) -> np.
     Target density on [-1, 1] is proportional to exp(kappa*t)(1-t^2)^{(p-3)/2};
     the envelope is a transformed Beta((p-1)/2, (p-1)/2).  At kappa=0 every
     proposal is accepted and t is exactly the null cosine law.
+
+    Wood's test kappa*(w - x0) + d*log((1 - x0*w)/(1 - x0^2)) >= log(u), with
+    x0 = (1-b)/(1+b), is evaluated in terms of b and q = 1 - (1-b)z:
+    w - x0 = 2b(1-2z)/((1+b)q) and (1 - x0*w)/(1 - x0^2) = (1+b)/(2q).  The
+    textbook form cancels to log1p(-1) = -inf once x0 rounds to 1 (kappa
+    around 1e17 and up) and then never accepts.
     """
     d = p - 1
-    # b = (-2k + sqrt(4k^2 + d^2))/d, written to avoid cancellation at large kappa
+    # b = (-2k + sqrt(4k^2 + d^2))/d, written to avoid cancellation at large kappa;
+    # once kappa^2 overflows b is 0 and every w is exactly 1, the rounded limit
     b = d / (2.0 * kappa + np.sqrt(4.0 * kappa * kappa + d * d))
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + d * np.log1p(-x0 * x0)
 
     out = np.empty(n)
     filled = 0
@@ -281,9 +287,13 @@ def _fvml_cosines(n: int, p: int, kappa: float, rng: np.random.Generator) -> np.
             raise RuntimeError("FvML cosine sampler failed to accept after 1000 rounds")
         m = n - filled
         z = rng.beta(0.5 * d, 0.5 * d, size=m)
-        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        q = 1.0 - (1.0 - b) * z
+        w = (1.0 - (1.0 + b) * z) / q
         u = rng.random(m)
-        accept = kappa * w + d * np.log1p(-x0 * w) - c >= np.log(u)
+        log_ratio = 2.0 * (kappa * b) * (1.0 - 2.0 * z) / ((1.0 + b) * q) + d * (
+            np.log1p(b) - math.log(2.0) - np.log(q)
+        )
+        accept = log_ratio >= np.log(u)
         kept = w[accept]
         out[filled : filled + kept.size] = kept
         filled += kept.size
@@ -319,8 +329,8 @@ def sample_fvml(
         raise ValueError("n must be positive")
     if p < 2:
         raise ValueError("FvML sampling needs p >= 2")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 0")
     mu = np.asarray(direction, dtype=np.float64)
     if mu.shape != (p,):
         raise ValueError(f"direction must have shape ({p},)")

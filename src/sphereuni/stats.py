@@ -9,6 +9,11 @@ For a sample X_1..X_n on S^{p-1} with pairwise inner products g_ij:
 All three reject in the upper tail.  The combination test rejects when
 the smallest of the three upper-tail p-values drops below
 1 - (1-level)^(1/3), which is level-exact under asymptotic independence.
+
+The statistics work elementwise on a PairwiseSummary whose reductions are
+floats (one sample) or (R,) arrays (R Monte Carlo replications), and
+``evaluate_tests`` is the one path from reductions to p-values and
+rejections for both ``run_all_tests`` and the replication engine.
 """
 
 from __future__ import annotations
@@ -16,33 +21,45 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import _kernels, nulldist
 from .nulldist import NullLaw
 from .sampling import SphericalSample
 
 __all__ = [
+    "TEST_NAMES",
     "PairwiseSummary",
     "TestOutcome",
+    "TestArrays",
     "pairwise_summary",
     "rayleigh_statistic",
     "bingham_statistic",
     "packing_statistic",
     "fisher_combination",
     "fisher_threshold",
+    "evaluate_tests",
     "run_all_tests",
 ]
+
+TEST_NAMES = ("rayleigh", "bingham", "packing", "fisher")
 
 
 @dataclass(frozen=True)
 class PairwiseSummary:
-    """Reductions over all row pairs i < j, shared by the three statistics."""
+    """Reductions over all row pairs i < j, shared by the three statistics.
+
+    Each reduction is a float for one sample, or an (R,) array holding one
+    entry per replication of R samples of the same shape.
+    """
 
     n: int
     p: int
-    sum_inner: float
-    sum_inner_sq: float
-    max_abs_inner: float
+    sum_inner: float | np.ndarray
+    sum_inner_sq: float | np.ndarray
+    max_abs_inner: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,6 +69,14 @@ class TestOutcome:
     p_value: float
     reject: bool
     level: float
+
+
+class TestArrays(NamedTuple):
+    """One test's results, elementwise over a summary's reductions."""
+
+    statistic: float | np.ndarray
+    p_value: float | np.ndarray
+    reject: bool | np.ndarray
 
 
 def pairwise_summary(sample: SphericalSample) -> PairwiseSummary:
@@ -64,17 +89,17 @@ def pairwise_summary(sample: SphericalSample) -> PairwiseSummary:
     )
 
 
-def rayleigh_statistic(summary: PairwiseSummary) -> float:
+def rayleigh_statistic(summary: PairwiseSummary) -> float | np.ndarray:
     return math.sqrt(2.0 * summary.p) / summary.n * summary.sum_inner
 
 
-def bingham_statistic(summary: PairwiseSummary) -> float:
+def bingham_statistic(summary: PairwiseSummary) -> float | np.ndarray:
     n, p = summary.n, summary.p
     # p/n * sum (g^2 - 1/p) = p/n * sum_inner_sq - (n-1)/2
     return p / n * summary.sum_inner_sq - (n - 1) / 2.0
 
 
-def packing_statistic(summary: PairwiseSummary) -> float:
+def packing_statistic(summary: PairwiseSummary) -> float | np.ndarray:
     n = summary.n
     if n < 2:
         raise ValueError("packing statistic needs n >= 2")
@@ -88,11 +113,27 @@ def packing_statistic(summary: PairwiseSummary) -> float:
     return summary.p * m * m - 4.0 * math.log(n) + math.log(math.log(n))
 
 
+# the three component tests: statistic and the null law of its p-value
+_COMPONENTS = (
+    ("rayleigh", rayleigh_statistic, NullLaw.STANDARD_NORMAL),
+    ("bingham", bingham_statistic, NullLaw.STANDARD_NORMAL),
+    ("packing", packing_statistic, NullLaw.PACKING_GUMBEL),
+)
+
+
 def fisher_threshold(level: float) -> float:
     """Cutoff for the smallest p-value: 1 - (1-level)^(1/3)."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     return 1.0 - (1.0 - level) ** (1.0 / 3.0)
+
+
+def _fisher(p_rayleigh, p_bingham, p_packing, level: float) -> TestArrays:
+    c = np.minimum(np.minimum(p_rayleigh, p_bingham), p_packing)
+    # cube by products: numpy's vectorized pow may round differently from its scalar pow
+    q = 1.0 - c
+    combined = np.minimum(np.maximum(1.0 - q * q * q, 0.0), 1.0)
+    return TestArrays(statistic=c, p_value=combined, reject=c <= fisher_threshold(level))
 
 
 def fisher_combination(
@@ -108,39 +149,52 @@ def fisher_combination(
     for q in ps:
         if not 0.0 <= q <= 1.0 or math.isnan(q):
             raise ValueError(f"p-values must lie in [0, 1], got {q}")
-    threshold = fisher_threshold(level)
-    c = min(ps)
-    combined = min(1.0, max(0.0, 1.0 - (1.0 - c) ** 3))
+    c, combined, reject = _fisher(*ps, level)
     return TestOutcome(
         test="fisher",
-        statistic=c,
-        p_value=combined,
-        reject=c <= threshold,
+        statistic=float(c),
+        p_value=float(combined),
+        reject=bool(reject),
         level=float(level),
     )
 
 
-def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutcome]:
-    """Compute all four test outcomes from one pairwise pass."""
+def evaluate_tests(
+    summary: PairwiseSummary, level: float, tests: tuple[str, ...] = TEST_NAMES
+) -> dict[str, TestArrays]:
+    """Statistic, p-value and rejection of each requested test, in TEST_NAMES order.
+
+    Elementwise over the summary's reductions.  The combined test needs
+    all three component p-values, so it needs n >= 3.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    if sample.n < 3:
-        raise ValueError("run_all_tests needs n >= 3")
-    summary = pairwise_summary(sample)
+    unknown = set(tests) - set(TEST_NAMES)
+    if unknown:
+        raise ValueError(f"unknown tests: {sorted(unknown)}")
+    if summary.n < 3 and ("packing" in tests or "fisher" in tests):
+        raise ValueError("packing/fisher tests need n >= 3")
+    out: dict[str, TestArrays] = {}
+    for name, statistic, law in _COMPONENTS:
+        if name in tests or "fisher" in tests:
+            stat = statistic(summary)
+            p = nulldist.upper_p_value(law, stat)
+            out[name] = TestArrays(statistic=stat, p_value=p, reject=p <= level)
+    if "fisher" in tests:
+        out["fisher"] = _fisher(*(out[name].p_value for name, _, _ in _COMPONENTS), level)
+    return {name: out[name] for name in TEST_NAMES if name in tests}
 
-    outcomes: list[TestOutcome] = []
-    p_values = {}
-    for name, law, stat in (
-        ("rayleigh", NullLaw.STANDARD_NORMAL, rayleigh_statistic(summary)),
-        ("bingham", NullLaw.STANDARD_NORMAL, bingham_statistic(summary)),
-        ("packing", NullLaw.PACKING_GUMBEL, packing_statistic(summary)),
-    ):
-        p = nulldist.upper_p_value(law, stat)
-        p_values[name] = p
-        outcomes.append(
-            TestOutcome(test=name, statistic=stat, p_value=p, reject=p <= level, level=level)
+
+def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutcome]:
+    """Compute all four test outcomes from one pairwise pass."""
+    results = evaluate_tests(pairwise_summary(sample), level)
+    return [
+        TestOutcome(
+            test=name,
+            statistic=float(r.statistic),
+            p_value=float(r.p_value),
+            reject=bool(r.reject),
+            level=level,
         )
-    outcomes.append(
-        fisher_combination(p_values["rayleigh"], p_values["bingham"], p_values["packing"], level)
-    )
-    return outcomes
+        for name, r in results.items()
+    ]

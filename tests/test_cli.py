@@ -140,6 +140,29 @@ class TestTestCommand:
         data.write_text("1.0,0.0\n0.0,0.0\n0.0,1.0\n")
         assert run_cli("test", str(data)) == 2
 
+    @pytest.mark.parametrize("magnitude", ["1e200", "1e-200", "1e308", "5e-324"])
+    def test_extreme_row_scale_normalizes(self, tmp_path, capsys, magnitude):
+        # the row norm overflows or underflows unless the row is scaled first
+        data = tmp_path / "extreme.csv"
+        data.write_text(f"{magnitude},{magnitude}\n1.0,0.0\n0.0,1.0\n-3,4\n")
+        sample = load_data_csv(str(data))
+        assert "renormaliz" in capsys.readouterr().err
+        np.testing.assert_allclose(sample.rows[0], [2**-0.5, 2**-0.5], rtol=1e-15)
+        np.testing.assert_allclose(sample.rows[3], [-0.6, 0.8], rtol=1e-15)
+        assert run_cli("test", str(data)) == 0
+
+    def test_zero_row_among_extreme_rows_rejected(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        data.write_text("1e200,1e200\n1e-200,1e-200\n0.0,0.0\n0.0,1.0\n")
+        assert run_cli("test", str(data)) == 2
+        assert "observation 3 is a zero vector" in capsys.readouterr().err
+
+    def test_invalid_utf8_is_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"x\xe9,y\n1.0,0.0\n0.0,1.0\n0.6,0.8\n")
+        assert run_cli("test", str(data)) == 2
+        assert "cannot read input file" in capsys.readouterr().err
+
     def test_csv_output_shape(self, tmp_path, capsys):
         data = tmp_path / "u.csv"
         run_cli("sample", "--model", "uniform", "--n", "30", "--p", "10",
@@ -280,3 +303,47 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert run_cli("sample", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize(
+        "argv, doc, key",
+        [
+            (("sample",), {"n": "abc"}, "'n'"),
+            (("sample",), {"n": 2.5}, "'n'"),
+            (("sample",), {"kappa": [1]}, "'kappa'"),
+            (("size-table", "--scenarios", "5x3"), {"reps": "abc"}, "'reps'"),
+            (("size-table", "--scenarios", "5x3", "--reps", "1"), {"format": "xml"}, "'format'"),
+            (("diagnose", "packing-lln", "--reps", "2"), {"n": "abc"}, "'n'"),
+            (("diagnose", "fvml-blindness", "--reps", "2"), {"tau": {"a": 1}}, "'tau'"),
+        ],
+        ids=["sample-n-text", "sample-n-fraction", "sample-kappa-list",
+             "size-table-reps", "size-table-format", "diagnose-n", "diagnose-tau"],
+    )
+    def test_wrong_type_value_is_exit_2(self, tmp_path, capsys, argv, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(*argv, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key}" in err
+        assert "Traceback" not in err
+
+    def test_null_value_means_unset(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 5, "p": 3, "marginal": None, "kappa": None}))
+        out = tmp_path / "s.csv"
+        assert run_cli("sample", "--config", str(cfg), "--out", str(out)) == 0
+        embedded = json.loads(out.read_text().splitlines()[0].removeprefix("# config="))
+        assert embedded["kappa"] == 0.0 and embedded["marginal"] is None
+
+    def test_extreme_finite_kappa(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli("sample", "--model", "fvml", "--kappa", "1e300",
+                       "--n", "5", "--p", "4", "--seed", "3", "--out", str(out)) == 0
+        rows = np.loadtxt(out, delimiter=",", comments="#")
+        assert rows.shape == (5, 4)
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
+
+    def test_non_finite_kappa_is_exit_2(self, capsys):
+        for kappa in ("nan", "inf"):
+            assert run_cli("sample", "--model", "fvml", "--kappa", kappa,
+                           "--n", "5", "--p", "3") == 2
+            assert "--kappa must be finite" in capsys.readouterr().err

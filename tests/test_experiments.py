@@ -1,8 +1,10 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from sphereuni import _kernels, experiments
 from sphereuni.experiments import (
     DiagnosticReport,
     ExperimentPlan,
@@ -14,7 +16,8 @@ from sphereuni.experiments import (
     run_rayleigh_blindness_diagnostic,
     run_rejection_experiment,
 )
-from sphereuni.sampling import AlternativeModel, HeavyTailMarginal
+from sphereuni.sampling import AlternativeModel, HeavyTailMarginal, SeedSpec, sample_from_model
+from sphereuni.stats import evaluate_tests, run_all_tests
 
 CAUCHY = HeavyTailMarginal.cauchy()
 UNIFORM = AlternativeModel.uniform()
@@ -94,6 +97,11 @@ class TestRayleighBlindness:
         assert set(rep.metrics) >= {"ks_distance", "rejection_rate", "stat_mean"}
         assert 0.0 <= rep.metrics["ks_distance"] <= 1.0
 
+    def test_runs_at_n2(self):
+        # the diagnostic reads only the Rayleigh test, which is defined at n = 2
+        rep = run_rayleigh_blindness_diagnostic(2, 4, CAUCHY, 25, 2)
+        assert rep.metrics["stat_sd"] > 0.0
+
 
 class TestBinghamScaling:
     def test_needs_tail_index(self):
@@ -111,6 +119,10 @@ class TestBinghamScaling:
         )
         assert light.metrics["empirical_sd"] < heavy.metrics["empirical_sd"]
         assert heavy.metrics["theoretical_sd"] == pytest.approx(1.0 / math.sqrt(8.0))
+
+    def test_runs_at_n2(self):
+        rep = run_bingham_scaling_diagnostic(2, 4, CAUCHY, 25, 2)
+        assert rep.metrics["empirical_sd"] > 0.0
 
 
 class TestPackingLln:
@@ -185,3 +197,53 @@ class TestReplicationErrorAnnotation:
         )
         with pytest.raises(RuntimeError, match="replication 0"):
             run_rejection_experiment(plan, threads=1)
+
+
+class TestEngine:
+    @pytest.mark.parametrize(
+        "model",
+        [UNIFORM, AlternativeModel.alpha_spherical(CAUCHY), AlternativeModel.fvml(3.0)],
+        ids=["uniform", "cauchy", "fvml"],
+    )
+    @pytest.mark.parametrize("n, p", [(3, 5), (40, 20), (300, 8)])
+    def test_matches_run_all_tests_bit_for_bit(self, model, n, p):
+        # n=300 takes the kernel's tiled path; vectorized p-values must not drift
+        reps, seed, offset = 5, 31, 7
+        summary = experiments._collect(model, n, p, reps, seed, threads=2, seed_offset=offset)
+        results = evaluate_tests(summary, 0.05)
+        for k in range(reps):
+            sample = sample_from_model(model, n, p, SeedSpec(seed, offset + k))
+            for o in run_all_tests(sample, 0.05):
+                r = results[o.test]
+                assert r.statistic[k] == o.statistic
+                assert r.p_value[k] == o.p_value
+                assert r.reject[k] == o.reject
+
+    def test_n2_plan_runs(self):
+        plan = small_plan(n=2, tests=("rayleigh", "bingham"))
+        result = run_rejection_experiment(plan, threads=1)
+        assert set(result.per_test) == {"rayleigh", "bingham"}
+        assert result.per_test["bingham"].stat_sd > 0.0
+
+    def test_always_serial(self):
+        assert experiments._resolve_workers(0) == 1
+        assert experiments._resolve_workers(3) == 1
+        with pytest.raises(ValueError, match="threads must be >= 0"):
+            experiments._resolve_workers(-1)
+
+    def test_nan_reduction_names_replication(self, monkeypatch):
+        plan = small_plan(replications=12)
+        target = sample_from_model(plan.model, plan.n, plan.p, SeedSpec(plan.master_seed, 7)).rows
+        real = _kernels.pairwise_reduce
+
+        def poisoned(rows):
+            s1, s2, m = real(rows)
+            return (s1, s2, math.nan) if np.array_equal(rows, target) else (s1, s2, m)
+
+        monkeypatch.setattr(_kernels, "pairwise_reduce", poisoned)
+        with pytest.raises(RuntimeError, match="replication 7 failed"):
+            run_rejection_experiment(plan)
+
+    def test_bad_master_seed_is_value_error(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            run_rejection_experiment(small_plan(master_seed=-1), threads=1)

@@ -104,3 +104,18 @@ class TestUpperPValue:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             upper_p_value(NORMAL, float("nan"))
+
+
+class TestElementwise:
+    @pytest.mark.parametrize("law", [NORMAL, GUMBEL])
+    @pytest.mark.parametrize("fn", [cdf, upper_p_value])
+    def test_array_matches_scalar_calls_bit_for_bit(self, law, fn):
+        x = np.concatenate((np.linspace(-3000.0, 60.0, 997), [-1420.0, 0.0, 1e300]))
+        values = fn(law, x)
+        assert isinstance(values, np.ndarray) and values.shape == x.shape
+        assert isinstance(fn(law, 0.5), float)
+        assert values.tolist() == [fn(law, float(v)) for v in x]
+
+    def test_nan_anywhere_rejected(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            upper_p_value(GUMBEL, np.array([0.0, float("nan")]))

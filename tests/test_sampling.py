@@ -197,6 +197,15 @@ class TestFvmlSampler:
         angle = math.acos(np.clip(mean_dir @ mu, -1.0, 1.0))
         assert angle < 0.1
 
+    @pytest.mark.parametrize("kappa", [1e14, 1e17, 1e160, 1e300, 1.7e308])
+    @pytest.mark.parametrize("p", [2, 4, 100])
+    def test_extreme_kappa_is_accepted(self, kappa, p):
+        # 1 - t is about (p-1)/(2 kappa); the textbook acceptance test fails from ~1e17
+        mu = np.zeros(p)
+        mu[0] = 1.0
+        t = sample_fvml(50, p, kappa, mu, SeedSpec(22)).rows @ mu
+        assert np.all(1.0 - t <= 100.0 * (p - 1) / kappa + 1e-15)
+
     def test_deterministic(self):
         mu = np.zeros(5)
         mu[0] = 1.0
