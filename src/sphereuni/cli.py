@@ -141,36 +141,33 @@ def _json_artifact(config: dict, payload: dict, timestamp: str | None) -> str:
 # data CSV I/O
 
 
-def load_data_csv(path: str) -> SphericalSample:
-    """Read an observations-by-rows CSV, normalizing near-unit rows."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read input file {path}: {exc}") from exc
+def _parse_table(lines: list[str], linenos: list[int], path: str) -> np.ndarray:
+    """Parse comma-separated data lines into an (n, p) float64 array.
 
+    Cells read as Python's float() reads them.  numpy's C reader parses
+    the table; when it refuses it (a non-numeric cell, a ragged row, or a
+    cell such as ``1_0`` that float() accepts and numpy does not), the
+    per-cell float() loop parses the same lines, so it either returns
+    float()'s values or raises the error naming the file row (`linenos`)
+    and column.
+    """
+    if not lines:
+        return np.empty((0, 0))  # np.loadtxt warns on empty input
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        pass
     rows: list[list[float]] = []
-    linenos: list[int] = []
     width: int | None = None
-    header_allowed = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = [c.strip() for c in stripped.split(",")]
+    for line, lineno in zip(lines, linenos):
         parsed: list[float] = []
-        for col, cell in enumerate(cells, start=1):
+        for col, cell in enumerate((c.strip() for c in line.split(",")), start=1):
             try:
                 parsed.append(float(cell))
             except ValueError:
-                if header_allowed:
-                    parsed = None  # type: ignore[assignment]
-                    break
                 raise CliError(
                     f"{path}: non-numeric value {cell!r} at row {lineno}, column {col}"
                 ) from None
-        header_allowed = False
-        if parsed is None:
-            continue  # header line
         if width is None:
             width = len(parsed)
         elif len(parsed) != width:
@@ -178,11 +175,42 @@ def load_data_csv(path: str) -> SphericalSample:
                 f"{path}: row {lineno} has {len(parsed)} columns, expected {width}"
             )
         rows.append(parsed)
-        linenos.append(lineno)
+    return np.array(rows, dtype=np.float64)
 
-    if len(rows) < 3:
-        raise CliError(f"{path}: need at least 3 observations, found {len(rows)}")
-    data = np.asarray(rows, dtype=np.float64)
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell.strip())
+    except ValueError:
+        return False
+    return True
+
+
+def load_data_csv(path: str) -> SphericalSample:
+    """Read an observations-by-rows CSV, normalizing near-unit rows.
+
+    Blank lines and lines starting with ``#`` are skipped; the first
+    remaining line is a header, and dropped, when one of its cells is not
+    a number.  Errors name the file row.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read input file {path}: {exc}") from exc
+
+    lines: list[str] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append(stripped)
+            linenos.append(lineno)
+    if lines and not all(_is_number(cell) for cell in lines[0].split(",")):
+        del lines[0], linenos[0]  # header line
+
+    data = _parse_table(lines, linenos, path)
+    if len(data) < 3:
+        raise CliError(f"{path}: need at least 3 observations, found {len(data)}")
     if not np.isfinite(data).all():
         r, c = np.argwhere(~np.isfinite(data))[0]
         raise CliError(
@@ -192,8 +220,10 @@ def load_data_csv(path: str) -> SphericalSample:
     # neither overflow (1e200) nor underflow to zero (1e-200)
     scale = np.maximum(data.max(axis=1), -data.min(axis=1))  # max |x| with no n x p temporary
     if np.any(scale == 0.0):
-        bad = int(np.flatnonzero(scale == 0.0)[0]) + 1
-        raise CliError(f"{path}: observation {bad} is a zero vector")
+        bad = int(np.flatnonzero(scale == 0.0)[0])
+        raise CliError(
+            f"{path}: observation {bad + 1} is a zero vector (row {linenos[bad]})"
+        )
     data = data / scale[:, None]
     norms = np.linalg.norm(data, axis=1)
     with np.errstate(over="ignore"):

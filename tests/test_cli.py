@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sphereuni.cli import load_data_csv, main, parse_marginal, parse_scenarios
+from sphereuni.cli import _parse_table, load_data_csv, main, parse_marginal, parse_scenarios
 
 
 def run_cli(*argv):
@@ -130,10 +130,18 @@ class TestTestCommand:
         assert "renormaliz" in capsys.readouterr().err
         assert np.abs(np.linalg.norm(sample.rows, axis=1) - 1.0).max() <= 1e-12
 
-    def test_ragged_rows_rejected(self, tmp_path):
-        data = tmp_path / "ragged.csv"
-        data.write_text("1.0,0.0\n0.0\n1.0,0.0\n")
+    def test_non_numeric_cell_location_after_preamble(self, tmp_path, capsys):
+        # a header and a comment line come first, so the row is a file line number
+        data = tmp_path / "bad.csv"
+        data.write_text("x,y\n# note\n1.0,0.0\n0.0,1.0\n0.6,oops\n")
         assert run_cli("test", str(data)) == 2
+        assert "non-numeric value 'oops' at row 5, column 2" in capsys.readouterr().err
+
+    def test_ragged_rows_rejected(self, tmp_path, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text("x,y\n# note\n1.0,0.0\n0.0\n1.0,0.0\n")
+        assert run_cli("test", str(data)) == 2
+        assert "row 4 has 1 columns, expected 2" in capsys.readouterr().err
 
     def test_zero_row_rejected(self, tmp_path):
         data = tmp_path / "zero.csv"
@@ -156,6 +164,23 @@ class TestTestCommand:
         data.write_text("1e200,1e200\n1e-200,1e-200\n0.0,0.0\n0.0,1.0\n")
         assert run_cli("test", str(data)) == 2
         assert "observation 3 is a zero vector" in capsys.readouterr().err
+
+    def test_zero_row_names_file_row(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        data.write_text("x,y\n# note\n1.0,0.0\n0.0,0.0\n0.0,1.0\n")
+        assert run_cli("test", str(data)) == 2
+        assert "observation 2 is a zero vector (row 4)" in capsys.readouterr().err
+
+    def test_savetxt_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(20251018)
+        rows = rng.standard_normal((2000, 50)) * 10.0 ** rng.integers(-300, 300, (2000, 50))
+        rows[0, 0], rows[1, 1], rows[2, 2] = -0.0, 5e-324, -1.7976931348623157e308
+        path = tmp_path / "big.csv"
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",")
+        lines = path.read_text().splitlines()
+        parsed = _parse_table(lines, list(range(1, len(lines) + 1)), str(path))
+        assert parsed.shape == rows.shape
+        assert np.array_equal(parsed.view(np.uint64), rows.view(np.uint64))
 
     def test_invalid_utf8_is_exit_2(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"

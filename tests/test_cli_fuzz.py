@@ -8,11 +8,12 @@ that a config cannot ask for a large sample or a long run.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sphereuni.cli import CliError, load_data_csv, main
+from sphereuni.cli import CliError, _parse_table, load_data_csv, main
 
 SETTINGS = settings(
     max_examples=150,
@@ -27,8 +28,10 @@ NUMBER_CELL = st.one_of(
     st.sampled_from(["0", "1", "-2", "0.5", "1e200", "-1e200", "1e-200", "5e-324", "1e308"]),
     st.integers(-5, 5).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["1e999", "nan", "-0.0", "1_0"]),
+    st.sampled_from(["1e999", "nan", "-0.0", "1_0", "+1", "1E5"]),
 )
+# float() reads a cell with whitespace around it, and so must the loader
+PADDED_CELL = st.one_of(NUMBER_CELL, NUMBER_CELL.map(lambda cell: f" {cell}\t"))
 CELL = st.one_of(NUMBER_CELL, TEXT.filter(lambda t: "," not in t and "\n" not in t))
 LINE = st.one_of(
     st.lists(CELL, min_size=1, max_size=4).map(",".join),
@@ -41,7 +44,7 @@ LINE = st.one_of(
 def numeric_tables(draw):
     """Rectangular numeric CSVs: they get past parsing, so the norms are exercised."""
     width = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.lists(NUMBER_CELL, min_size=width, max_size=width),
+    rows = draw(st.lists(st.lists(PADDED_CELL, min_size=width, max_size=width),
                          min_size=3, max_size=8))
     return "\n".join(",".join(row) for row in rows)
 
@@ -90,6 +93,17 @@ def test_csv_parser_returns_sample_or_usage_error(tmp_path, capsys, text):
     assert run(["test", str(data), "--out", str(tmp_path / "out.csv")], capsys) == (
         0 if sample is not None else 2
     )
+
+
+@SETTINGS
+@given(text=numeric_tables())
+def test_parse_table_matches_float_per_cell(text):
+    # bit patterns, so that -0.0 and the NaN positions count
+    lines = [line.strip() for line in text.splitlines()]
+    parsed = _parse_table(lines, list(range(1, len(lines) + 1)), "table.csv")
+    expected = np.array([[float(c.strip()) for c in line.split(",")] for line in lines])
+    assert parsed.shape == expected.shape
+    assert np.array_equal(parsed.view(np.uint64), expected.view(np.uint64))
 
 
 @SETTINGS
