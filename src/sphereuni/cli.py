@@ -7,21 +7,25 @@
     sphereuni diagnose independence --n 100 --p 100
 
 Every command accepts --config pointing at a flat JSON document whose
-keys mirror the flags; explicit flags win.  The fully resolved config is
-embedded in every output artifact ("# config=" comment lines in CSV, a
-"config" field in JSON) so any artifact can be reproduced from itself.
+keys mirror the flags; explicit flags win.  Both come from one table,
+OPTIONS, which also orders the fully resolved config that is embedded in
+every output artifact ("# config=" comment lines in CSV, a "config" field
+in JSON), so any artifact can be reproduced from itself.
 Exit codes: 0 success, 2 usage/config/data error, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import traceback
+from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,14 +48,6 @@ from .sampling import (
     sample_from_model,
 )
 from .stats import run_all_tests
-
-DIAGNOSE_KINDS = (
-    "rayleigh-blindness",
-    "bingham-scaling",
-    "packing-lln",
-    "independence",
-    "fvml-blindness",
-)
 
 NORMALIZE_NOTICE_TOL = 1e-6
 
@@ -93,22 +89,77 @@ def _output_format(value) -> str:
     return value
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default, convert=str):
-    """Flag if given, else the config-file value through `convert`, else the default.
+class Option(NamedTuple):
+    """One row of OPTIONS: a `--name` flag and the config key of the same name."""
 
-    Flags arrive typed from argparse; a config value of the wrong type is
-    a config error naming its key.  A null config value counts as unset.
+    name: str
+    flag: dict  # add_argument keywords: the flag's type or choices, its help
+    convert: Callable  # a config-file value -> the option's value
+    default: object  # or {command: default} where the commands differ
+    commands: tuple[str, ...]
+
+
+_TABLES = ("size-table", "power-table")
+
+# Row order is the order of the options in every artifact's `config`.
+OPTIONS = (
+    Option("scenarios", {"help": "comma-separated <n>x<p> pairs"}, str,
+           ",".join(f"{n}x{p}" for n, p in TABLE1_SCENARIOS), _TABLES),
+    Option("n", {"type": int}, _integer, 100, ("sample", "diagnose")),
+    Option("p", {"type": int}, _integer, 100, ("sample", "diagnose")),
+    Option("model", {"choices": ("uniform", "alpha-spherical", "fvml")}, str, "uniform",
+           ("sample",)),
+    Option("marginal", {"help": "cauchy | chisq1 | t:<nu> | pareto:<alpha>"}, str,
+           {"sample": None, "diagnose": "cauchy"}, ("sample", "diagnose")),
+    Option("kappa", {"type": float}, float, 0.0, ("sample",)),
+    Option("tau", {"type": float}, float, 1.0, ("diagnose",)),
+    Option("reps", {"type": int}, _integer, 2000, (*_TABLES, "diagnose")),
+    Option("level", {"type": float}, float, 0.05, ("test", *_TABLES, "diagnose")),
+    Option("seed", {"type": int}, _integer, 0, ("sample", *_TABLES, "diagnose")),
+    Option("threads", {"type": int}, _integer, 0, (*_TABLES, "diagnose")),
+    Option("format", {"choices": ("csv", "json")}, _output_format, "csv", ("test", *_TABLES)),
+)
+
+
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """The resolved config of `args.command`: "command", then its OPTIONS rows in order.
+
+    Each value is the flag if given, else the config-file value through
+    the row's converter, else the default.  Flags arrive typed from
+    argparse; a config value of the wrong type is a config error naming
+    its key.  A null config value counts as unset.
     """
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    value = config.get(key)
-    if value is None:
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
+    config_file = _load_config(args.config)
+    config = {"command": args.command}
+    for option in OPTIONS:
+        if args.command not in option.commands:
+            continue
+        flag, value = getattr(args, option.name), config_file.get(option.name)
+        if flag is not None:
+            value = flag
+        elif value is None:
+            value = option.default
+            if isinstance(value, dict):
+                value = value[args.command]
+        else:
+            try:
+                value = option.convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CliError(
+                    f"config key {option.name!r}: bad value {value!r} ({exc})"
+                ) from exc
+        config[option.name] = value
+    return config
+
+
+def _insert_after(config: dict, key: str, **fields) -> dict:
+    """`config` with `fields`, which the command derives, placed right after `key`."""
+    out = {}
+    for k, v in config.items():
+        out[k] = v
+        if k == key:
+            out.update(fields)
+    return out
 
 
 def _timestamp() -> str:
@@ -122,19 +173,32 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _csv_comment_block(config: dict, timestamp: str | None) -> str:
-    lines = [f"# config={json.dumps(config, sort_keys=True)}"]
-    if timestamp is not None:
-        lines.append(f"# generated={timestamp}")
-    return "\n".join(lines) + "\n"
+def _write_csv(out: str | None, config: dict, lines: Iterable[str], generated: bool = True) -> None:
+    """A CSV artifact: the config comment line, a timestamp one if `generated`, then `lines`."""
+    head = [f"# config={json.dumps(config, sort_keys=True)}"]
+    if generated:
+        head.append(f"# generated={_timestamp()}")
+    _write_text(out, "\n".join([*head, *lines]) + "\n")
 
 
-def _json_artifact(config: dict, payload: dict, timestamp: str | None) -> str:
-    doc = {"config": config}
-    if timestamp is not None:
-        doc["generated"] = timestamp
-    doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+def _write_json(out: str | None, config: dict, payload: dict) -> None:
+    doc = {"config": config, "generated": _timestamp(), **payload}
+    _write_text(out, json.dumps(doc, indent=2) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_rows(out: str | None, config: dict, key: str, rows: list[dict]) -> None:
+    """`rows` under `key` in a JSON artifact, or a CSV artifact headed by their keys."""
+    if config["format"] == "json":
+        _write_json(out, config, {key: rows})
+    else:
+        body = (",".join(_csv_cell(v) for v in row.values()) for row in rows)
+        _write_csv(out, config, [",".join(rows[0]), *body])
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +302,6 @@ def load_data_csv(path: str) -> SphericalSample:
     return SphericalSample.from_rows(data)
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_data_csv(path: str | None, sample: SphericalSample, config: dict) -> None:
-    lines = [_csv_comment_block(config, timestamp=None).rstrip("\n")]
-    for row in sample.rows:
-        lines.append(",".join(_fmt17(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # model / marginal flags
 
@@ -306,8 +359,6 @@ def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:
             raise CliError(
                 f"bad scenario token {token!r}; expected <n>x<p> like 100x120"
             ) from exc
-    if not out:
-        raise CliError("empty scenario list")
     return tuple(out)
 
 
@@ -316,83 +367,34 @@ def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    config_file = _load_config(args.config)
-    level = _resolve(args, config_file, "level", 0.05, float)
-    fmt = _resolve(args, config_file, "format", "csv", _output_format)
+    config = _resolve_config(args)
     sample = load_data_csv(args.input)
     try:
-        outcomes = run_all_tests(sample, level)
+        outcomes = run_all_tests(sample, config["level"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    config = {
-        "command": "test",
-        "input": args.input,
-        "n": sample.n,
-        "p": sample.p,
-        "level": level,
-        "format": fmt,
-    }
-    ts = _timestamp()
-    if fmt == "json":
-        payload = {
-            "outcomes": [
-                {
-                    "test": o.test,
-                    "statistic": o.statistic,
-                    "p_value": o.p_value,
-                    "reject": o.reject,
-                    "level": o.level,
-                }
-                for o in outcomes
-            ]
-        }
-        _write_text(args.out, _json_artifact(config, payload, ts))
-    else:
-        lines = [_csv_comment_block(config, ts).rstrip("\n")]
-        lines.append("test,statistic,p_value,reject,level")
-        for o in outcomes:
-            lines.append(
-                f"{o.test},{o.statistic!r},{o.p_value!r},"
-                f"{'true' if o.reject else 'false'},{o.level!r}"
-            )
-        _write_text(args.out, "\n".join(lines) + "\n")
+    config = _insert_after(config, "command", input=args.input, n=sample.n, p=sample.p)
+    _write_rows(args.out, config, "outcomes", [dataclasses.asdict(o) for o in outcomes])
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    config_file = _load_config(args.config)
-    n = _resolve(args, config_file, "n", 100, _integer)
-    p = _resolve(args, config_file, "p", 100, _integer)
-    seed = _resolve(args, config_file, "seed", 0, _integer)
-    kappa = _resolve(args, config_file, "kappa", 0.0, float)
-    model_name = _resolve(args, config_file, "model", "uniform")
-    marginal = _resolve(args, config_file, "marginal", None)
-    model = build_model(model_name, marginal, kappa)
+    config = _resolve_config(args)
+    model = build_model(config["model"], config["marginal"], config["kappa"])
     try:
-        sample = sample_from_model(model, n, p, SeedSpec(seed))
+        sample = sample_from_model(model, config["n"], config["p"], SeedSpec(config["seed"]))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    config = {
-        "command": "sample",
-        "model": model_name,
-        "marginal": marginal,
-        "kappa": kappa,
-        "n": n,
-        "p": p,
-        "seed": seed,
-    }
-    write_data_csv(args.out, sample, config)
+    rows = (",".join(format(float(v), ".17g") for v in row) for row in sample.rows)
+    _write_csv(args.out, config, rows, generated=False)
     return 0
 
 
 def _rate_table(
     scenarios: tuple[tuple[int, int], ...],
     models: list[tuple[str | None, AlternativeModel]],
-    reps: int,
-    level: float,
-    seed: int,
-    threads: int,
+    config: dict,
 ) -> list[dict]:
     """Rejection-rate grid; rows are test (x marginal), columns scenarios."""
     columns = [f"n{n}_p{p}" for n, p in scenarios]
@@ -401,13 +403,14 @@ def _rate_table(
         # build every plan first, so a bad cell fails before any cell runs
         plans = {
             (label, column): ExperimentPlan(
-                n=n, p=p, model=model, replications=reps, level=level, master_seed=seed
+                n=n, p=p, model=model, replications=config["reps"], level=config["level"],
+                master_seed=config["seed"],
             )
             for label, model in models
             for (n, p), column in zip(scenarios, columns)
         }
         for (label, column), plan in plans.items():
-            result = run_rejection_experiment(plan, threads=threads)
+            result = run_rejection_experiment(plan, threads=config["threads"])
             for test, agg in result.per_test.items():
                 cells[(test, label, column)] = agg.rate
     except ValueError as exc:  # bad reps, level, scenario or thread count
@@ -424,134 +427,72 @@ def _rate_table(
     return rows
 
 
-def _emit_table(args: argparse.Namespace, rows: list[dict], config: dict) -> None:
-    ts = _timestamp()
-    if config["format"] == "json":
-        _write_text(args.out, _json_artifact(config, {"rows": rows}, ts))
-        return
-    header = list(rows[0].keys())
-    lines = [_csv_comment_block(config, ts).rstrip("\n"), ",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(v) if isinstance(v, float) else str(v) for v in row.values()
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
-
-
-def cmd_size_table(args: argparse.Namespace) -> int:
-    config_file = _load_config(args.config)
-    reps = _resolve(args, config_file, "reps", 2000, _integer)
-    level = _resolve(args, config_file, "level", 0.05, float)
-    seed = _resolve(args, config_file, "seed", 0, _integer)
-    threads = _resolve(args, config_file, "threads", 0, _integer)
-    fmt = _resolve(args, config_file, "format", "csv", _output_format)
-    scenarios_spec = _resolve(args, config_file, "scenarios", None)
-    scenarios = (
-        parse_scenarios(scenarios_spec) if scenarios_spec else TABLE1_SCENARIOS
-    )
-    rows = _rate_table(
-        scenarios, [(None, AlternativeModel.uniform())], reps, level, seed, threads
-    )
-    config = {
-        "command": "size-table",
-        "scenarios": ",".join(f"{n}x{p}" for n, p in scenarios),
-        "reps": reps,
-        "level": level,
-        "seed": seed,
-        "threads": threads,
-        "format": fmt,
-    }
-    _emit_table(args, rows, config)
+def cmd_table(args: argparse.Namespace) -> int:
+    """size-table runs the uniform model, power-table each of POWER_MARGINALS."""
+    config = _resolve_config(args)
+    scenarios = parse_scenarios(config["scenarios"])
+    config["scenarios"] = ",".join(f"{n}x{p}" for n, p in scenarios)
+    if args.command == "size-table":
+        models = [(None, AlternativeModel.uniform())]
+    else:
+        models = [
+            (marginal_label(m), AlternativeModel.alpha_spherical(m)) for m in POWER_MARGINALS
+        ]
+        config = _insert_after(config, "scenarios", marginals=[label for label, _ in models])
+    _write_rows(args.out, config, "rows", _rate_table(scenarios, models, config))
     return 0
 
 
-def cmd_power_table(args: argparse.Namespace) -> int:
-    config_file = _load_config(args.config)
-    reps = _resolve(args, config_file, "reps", 2000, _integer)
-    level = _resolve(args, config_file, "level", 0.05, float)
-    seed = _resolve(args, config_file, "seed", 0, _integer)
-    threads = _resolve(args, config_file, "threads", 0, _integer)
-    fmt = _resolve(args, config_file, "format", "csv", _output_format)
-    scenarios_spec = _resolve(args, config_file, "scenarios", None)
-    scenarios = (
-        parse_scenarios(scenarios_spec) if scenarios_spec else TABLE1_SCENARIOS
-    )
-    models = [
-        (marginal_label(m), AlternativeModel.alpha_spherical(m)) for m in POWER_MARGINALS
-    ]
-    rows = _rate_table(scenarios, models, reps, level, seed, threads)
-    config = {
-        "command": "power-table",
-        "scenarios": ",".join(f"{n}x{p}" for n, p in scenarios),
-        "marginals": [label for label, _ in models],
-        "reps": reps,
-        "level": level,
-        "seed": seed,
-        "threads": threads,
-        "format": fmt,
-    }
-    _emit_table(args, rows, config)
-    return 0
+# kind: a call taking the diagnose config and the keyword arguments every diagnostic takes
+DIAGNOSTICS = {
+    "rayleigh-blindness": lambda c, **common: run_rayleigh_blindness_diagnostic(
+        marginal=parse_marginal(c["marginal"]), **common
+    ),
+    "bingham-scaling": lambda c, **common: run_bingham_scaling_diagnostic(
+        marginal=parse_marginal(c["marginal"]), **common
+    ),
+    "packing-lln": lambda c, **common: run_packing_lln_diagnostic(
+        model=parse_marginal(c["marginal"]), **common
+    ),
+    "independence": lambda c, **common: run_independence_diagnostic(**common),
+    "fvml-blindness": lambda c, **common: run_fvml_packing_blindness(tau=c["tau"], **common),
+}
+DIAGNOSE_KINDS = tuple(DIAGNOSTICS)
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    if args.kind not in DIAGNOSE_KINDS:
+    if args.kind not in DIAGNOSTICS:
         raise CliError(
             f"unknown diagnostic {args.kind!r}; valid kinds: {', '.join(DIAGNOSE_KINDS)}"
         )
-    config_file = _load_config(args.config)
-    n = _resolve(args, config_file, "n", 100, _integer)
-    p = _resolve(args, config_file, "p", 100, _integer)
-    reps = _resolve(args, config_file, "reps", 2000, _integer)
-    level = _resolve(args, config_file, "level", 0.05, float)
-    seed = _resolve(args, config_file, "seed", 0, _integer)
-    threads = _resolve(args, config_file, "threads", 0, _integer)
-    marginal_spec = _resolve(args, config_file, "marginal", "cauchy")
-    tau = _resolve(args, config_file, "tau", 1.0, float)
-    if n < 3:
-        raise CliError(f"diagnostics need --n >= 3, got {n}")
-
+    config = _insert_after(_resolve_config(args), "command", kind=args.kind)
+    if config["n"] < 3:
+        raise CliError(f"diagnostics need --n >= 3, got {config['n']}")
     try:
-        if args.kind == "rayleigh-blindness":
-            report = run_rayleigh_blindness_diagnostic(
-                n, p, parse_marginal(marginal_spec), reps, seed, level, threads
-            )
-        elif args.kind == "bingham-scaling":
-            report = run_bingham_scaling_diagnostic(
-                n, p, parse_marginal(marginal_spec), reps, seed, level, threads
-            )
-        elif args.kind == "packing-lln":
-            report = run_packing_lln_diagnostic(
-                n, p, parse_marginal(marginal_spec), reps, seed, level, threads
-            )
-        elif args.kind == "independence":
-            report = run_independence_diagnostic(n, p, reps, level, seed, threads)
-        else:
-            report = run_fvml_packing_blindness(n, p, tau, reps, seed, level, threads)
+        report = DIAGNOSTICS[args.kind](
+            config, n=config["n"], p=config["p"], replications=config["reps"],
+            master_seed=config["seed"], level=config["level"], threads=config["threads"],
+        )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    config = {
-        "command": "diagnose",
-        "kind": args.kind,
-        "n": n,
-        "p": p,
-        "marginal": marginal_spec,
-        "tau": tau,
-        "reps": reps,
-        "level": level,
-        "seed": seed,
-        "threads": threads,
-    }
-    payload = {"kind": report.kind, "metrics": report.metrics}
-    _write_text(args.out, _json_artifact(config, payload, _timestamp()))
+    _write_json(args.out, config, {"kind": report.kind, "metrics": report.metrics})
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+# name: (handler, help, positional argument and its help, if the command takes one)
+COMMANDS = {
+    "test": (cmd_test, "run the four tests on a data CSV",
+             ("input", "CSV with one observation per row")),
+    "sample": (cmd_sample, "write a sample CSV from a model", None),
+    "size-table": (cmd_table, "empirical sizes under uniformity", None),
+    "power-table": (cmd_table, "empirical power under heavy-tailed models", None),
+    "diagnose": (cmd_diagnose, "run one asymptotic diagnostic",
+                 ("kind", " | ".join(DIAGNOSE_KINDS))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,55 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uniformity tests on high-dimensional spheres",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--out", help="output path (default: stdout)")
-
-    t = sub.add_parser("test", help="run the four tests on a data CSV")
-    t.add_argument("input", help="CSV with one observation per row")
-    t.add_argument("--level", type=float)
-    t.add_argument("--format", choices=("csv", "json"))
-    add_common(t)
-    t.set_defaults(func=cmd_test)
-
-    s = sub.add_parser("sample", help="write a sample CSV from a model")
-    s.add_argument("--model", choices=("uniform", "alpha-spherical", "fvml"))
-    s.add_argument("--marginal", help="cauchy | chisq1 | t:<nu> | pareto:<alpha>")
-    s.add_argument("--kappa", type=float)
-    s.add_argument("--n", type=int)
-    s.add_argument("--p", type=int)
-    s.add_argument("--seed", type=int)
-    add_common(s)
-    s.set_defaults(func=cmd_sample)
-
-    for name, fn, help_text in (
-        ("size-table", cmd_size_table, "empirical sizes under uniformity"),
-        ("power-table", cmd_power_table, "empirical power under heavy-tailed models"),
-    ):
-        tp = sub.add_parser(name, help=help_text)
-        tp.add_argument("--scenarios", help="comma-separated <n>x<p> pairs")
-        tp.add_argument("--reps", type=int)
-        tp.add_argument("--level", type=float)
-        tp.add_argument("--seed", type=int)
-        tp.add_argument("--threads", type=int)
-        tp.add_argument("--format", choices=("csv", "json"))
-        add_common(tp)
-        tp.set_defaults(func=fn)
-
-    d = sub.add_parser("diagnose", help="run one asymptotic diagnostic")
-    d.add_argument("kind", help=" | ".join(DIAGNOSE_KINDS))
-    d.add_argument("--n", type=int)
-    d.add_argument("--p", type=int)
-    d.add_argument("--marginal")
-    d.add_argument("--tau", type=float)
-    d.add_argument("--reps", type=int)
-    d.add_argument("--level", type=float)
-    d.add_argument("--seed", type=int)
-    d.add_argument("--threads", type=int)
-    add_common(d)
-    d.set_defaults(func=cmd_diagnose)
-
+    for name, (func, help_text, positional) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            cmd.add_argument(positional[0], help=positional[1])
+        for option in OPTIONS:
+            if name in option.commands:
+                cmd.add_argument(f"--{option.name}", **option.flag)
+        cmd.add_argument("--config", help="flat JSON config file; flags override it")
+        cmd.add_argument("--out", help="output path (default: stdout)")
+        cmd.set_defaults(func=func)
     return parser
 
 
@@ -616,8 +518,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, MemoryError) as exc:  # MemoryError: a size too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

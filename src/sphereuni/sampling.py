@@ -96,8 +96,8 @@ class HeavyTailMarginal:
         if self.kind not in ("cauchy", "student_t", "pareto", "centered_chisq1"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if self.kind == "student_t":
-            if self.param is None or self.param <= 0:
-                raise ValueError("student_t needs degrees of freedom > 0")
+            if self.param is None or not 0.0 < self.param < math.inf:
+                raise ValueError("student_t needs finite degrees of freedom > 0")
         elif self.kind == "pareto":
             if self.param is None or not 0.0 < self.param < 2.0:
                 raise ValueError("pareto tail index must lie in (0, 2)")

@@ -372,3 +372,63 @@ class TestConfigFile:
             assert run_cli("sample", "--model", "fvml", "--kappa", kappa,
                            "--n", "5", "--p", "3") == 2
             assert "--kappa must be finite" in capsys.readouterr().err
+
+
+class TestRejectedRequests:
+    @pytest.mark.parametrize("spec", ["t:nan", "t:inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("diagnose", "packing-lln", "--n", "10", "--p", "3", "--reps", "3"),
+            ("diagnose", "rayleigh-blindness", "--n", "10", "--p", "3", "--reps", "3"),
+            ("sample", "--model", "alpha-spherical", "--n", "5", "--p", "3"),
+        ],
+        ids=["packing-lln", "rayleigh-blindness", "sample"],
+    )
+    def test_non_finite_degrees_of_freedom(self, capsys, argv, spec):
+        assert run_cli(*argv, "--marginal", spec) == 2
+        err = capsys.readouterr().err
+        assert f"bad marginal spec {spec!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_scenarios(self, tmp_path, capsys, via):
+        from sphereuni.cli import CliError
+
+        with pytest.raises(CliError, match="bad scenario token ''"):
+            parse_scenarios("")
+        argv = ["size-table", "--reps", "1", "--out", str(tmp_path / "t.csv")]
+        if via == "flag":
+            argv += ["--scenarios", ""]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"scenarios": ""}))
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 2
+        assert "bad scenario token ''" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("sample_from_model", ("sample", "--n", "1000000", "--p", "1000000")),
+            ("run_rejection_experiment",
+             ("size-table", "--scenarios", "5x3", "--reps", "1000000000000")),
+        ],
+        ids=["sample", "size-table"],
+    )
+    def test_memory_error_is_exit_2(self, monkeypatch, capsys, target, argv):
+        # numpy raises this before allocating; the stand-in never allocates at all
+        import sphereuni.cli as cli_mod
+
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000, 1000000) and data type float64")
+
+        def oversize(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_mod, target, oversize)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sphereuni.cli import CliError, _parse_table, load_data_csv, main
+from sphereuni.cli import DIAGNOSE_KINDS, OPTIONS, CliError, _parse_table, load_data_csv, main
 
 SETTINGS = settings(
     max_examples=150,
@@ -62,7 +62,8 @@ SCALAR = st.one_of(
     st.floats(-1e3, 1e3),
     st.sampled_from([math.nan, math.inf, -math.inf, 2.5, 1e300]),
     TEXT,
-    st.sampled_from(["uniform", "fvml", "alpha-spherical", "cauchy", "t:1.5", "json", "csv"]),
+    st.sampled_from(["uniform", "fvml", "alpha-spherical", "cauchy", "t:1.5", "json", "csv",
+                     "t:nan", "t:inf", "pareto:nan"]),
 )
 VALUE = st.one_of(SCALAR, st.lists(SCALAR, max_size=2))
 
@@ -122,6 +123,17 @@ def test_size_table_config_never_crashes(tmp_path, capsys, doc):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     run(["size-table", "--reps", "2", "--scenarios", "5x3", "--config", str(cfg),
          "--out", str(tmp_path / "t.csv")], capsys)
+
+
+@pytest.mark.parametrize("kind", DIAGNOSE_KINDS)
+@SETTINGS
+@given(doc=config_docs([option.name for option in OPTIONS if "diagnose" in option.commands]))
+def test_diagnose_config_never_crashes(tmp_path, capsys, kind, doc):
+    # n, p and reps come from flags, which win, so every run stays tiny
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    run(["diagnose", kind, "--n", "5", "--p", "3", "--reps", "2", "--config", str(cfg),
+         "--out", str(tmp_path / "d.json")], capsys)
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "NaN", '"n"', "{", "é"])

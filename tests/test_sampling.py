@@ -124,6 +124,13 @@ class TestDrawMarginal:
         with pytest.raises(ValueError):
             draw_marginal(CAUCHY, 0, SeedSpec(1))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, value):
+        with pytest.raises(ValueError):
+            HeavyTailMarginal.student_t(value)
+        with pytest.raises(ValueError):
+            HeavyTailMarginal.pareto(value)
+
     def test_tail_index_property(self):
         assert CAUCHY.tail_index == 1.0
         assert HeavyTailMarginal.student_t(1.5).tail_index == 1.5
