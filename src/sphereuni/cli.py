@@ -83,12 +83,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _output_format(value) -> str:
-    if value not in ("csv", "json"):
-        raise ValueError("expected csv or json")
-    return value
-
-
 class Option(NamedTuple):
     """One row of OPTIONS: a `--name` flag and the config key of the same name."""
 
@@ -99,6 +93,17 @@ class Option(NamedTuple):
     commands: tuple[str, ...]
 
 
+def _choice(name: str, choices: tuple[str, ...], default: str, commands: tuple[str, ...]) -> Option:
+    """A row whose flag and config key both accept exactly `choices`."""
+
+    def convert(value) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
+
+    return Option(name, {"choices": choices}, convert, default, commands)
+
+
 _TABLES = ("size-table", "power-table")
 
 # Row order is the order of the options in every artifact's `config`.
@@ -107,8 +112,7 @@ OPTIONS = (
            ",".join(f"{n}x{p}" for n, p in TABLE1_SCENARIOS), _TABLES),
     Option("n", {"type": int}, _integer, 100, ("sample", "diagnose")),
     Option("p", {"type": int}, _integer, 100, ("sample", "diagnose")),
-    Option("model", {"choices": ("uniform", "alpha-spherical", "fvml")}, str, "uniform",
-           ("sample",)),
+    _choice("model", ("uniform", "alpha-spherical", "fvml"), "uniform", ("sample",)),
     Option("marginal", {"help": "cauchy | chisq1 | t:<nu> | pareto:<alpha>"}, str,
            {"sample": None, "diagnose": "cauchy"}, ("sample", "diagnose")),
     Option("kappa", {"type": float}, float, 0.0, ("sample",)),
@@ -117,7 +121,7 @@ OPTIONS = (
     Option("level", {"type": float}, float, 0.05, ("test", *_TABLES, "diagnose")),
     Option("seed", {"type": int}, _integer, 0, ("sample", *_TABLES, "diagnose")),
     Option("threads", {"type": int}, _integer, 0, (*_TABLES, "diagnose")),
-    Option("format", {"choices": ("csv", "json")}, _output_format, "csv", ("test", *_TABLES)),
+    _choice("format", ("csv", "json"), "csv", ("test", *_TABLES)),
 )
 
 
@@ -334,18 +338,16 @@ def marginal_label(m: HeavyTailMarginal) -> str:
 
 
 def build_model(model: str, marginal: str | None, kappa: float) -> AlternativeModel:
-    model = model.strip().lower()
+    """The model named by one of the `model` row's choices."""
     if model == "uniform":
         return AlternativeModel.uniform()
-    if model in ("alpha-spherical", "alpha_spherical", "alpha"):
+    if model == "alpha-spherical":
         if marginal is None:
             raise CliError("--model alpha-spherical needs --marginal")
         return AlternativeModel.alpha_spherical(parse_marginal(marginal))
-    if model == "fvml":
-        if not 0.0 <= kappa < math.inf:
-            raise CliError(f"--kappa must be finite and >= 0, got {kappa}")
-        return AlternativeModel.fvml(kappa)
-    raise CliError(f"unknown model {model!r}; expected uniform, alpha-spherical or fvml")
+    if not 0.0 <= kappa < math.inf:
+        raise CliError(f"--kappa must be finite and >= 0, got {kappa}")
+    return AlternativeModel.fvml(kappa)
 
 
 def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo experiments: size/power tables and asymptotic diagnostics.
 
-The engine is summary-first.  Replication i draws its sample from the
-stream (master_seed, i) and keeps only the kernel's three pairwise
-reductions (sum, sum of squares, max |g|) as row i of an (R, 3) array.
-Statistics, p-values and rejections of all four tests are then computed
-once, vectorized over replications, through the same
-``stats.evaluate_tests`` that ``run_all_tests`` uses for a single sample.
+Every table cell and every diagnostic is an ExperimentPlan, which
+validates the whole request before one engine runs it.  The engine is
+summary-first.  Replication i draws its sample from the stream
+(master_seed, i) and keeps only the kernel's three pairwise reductions
+(sum, sum of squares, max |g|) as row i of an (R, 3) array.  Statistics,
+p-values and rejections of the plan's tests are then computed once,
+vectorized over replications, through the same ``stats.evaluate_tests``
+that ``run_all_tests`` uses for a single sample.
 
 Replications run serially.  On a 2-vCPU host a thread pool made a
 size-table cell slower at OpenBLAS's default thread count, so the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -29,12 +31,11 @@ from .sampling import (
     SeedSpec,
     sample_from_model,
 )
-from .stats import TEST_NAMES, PairwiseSummary, evaluate_tests
+from .stats import TEST_NAMES, PairwiseSummary, TestArrays, _check_request, evaluate_tests
 
 __all__ = [
     "TEST_NAMES",
     "TABLE1_SCENARIOS",
-    "PROSE_SCENARIOS",
     "POWER_MARGINALS",
     "ExperimentPlan",
     "TestAggregate",
@@ -49,10 +50,8 @@ __all__ = [
     "fvml_kappa",
 ]
 
-# scenario triple from the published size table; the accompanying prose
-# instead lists (80, 100), which PROSE_SCENARIOS keeps reachable
+# scenario triple from the published size table
 TABLE1_SCENARIOS = ((80, 40), (100, 100), (100, 120))
-PROSE_SCENARIOS = ((80, 100), (100, 100), (100, 120))
 
 POWER_MARGINALS = (
     HeavyTailMarginal.centered_chisq1(),
@@ -78,15 +77,8 @@ class ExperimentPlan:
             raise ValueError("need n >= 2 and p >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
-        unknown = set(self.tests) - set(TEST_NAMES)
-        if unknown:
-            raise ValueError(f"unknown tests: {sorted(unknown)}")
-        if not self.tests:
-            raise ValueError("tests must be non-empty")
-        if self.n < 3 and ("packing" in self.tests or "fisher" in self.tests):
-            raise ValueError("packing/fisher tests need n >= 3")
+        SeedSpec(self.master_seed)  # a bad seed is a usage error, not a failed replication
+        _check_request(self.n, self.level, self.tests)
 
 
 @dataclass(frozen=True)
@@ -126,23 +118,18 @@ def _resolve_workers(threads: int) -> int:
     return 1
 
 
-def _collect(
-    model: AlternativeModel,
-    n: int,
-    p: int,
-    replications: int,
-    master_seed: int,
-    threads: int,
-    seed_offset: int = 0,
-) -> PairwiseSummary:
-    """Pairwise reductions of replications seed_offset .. seed_offset+R-1 as (R,) arrays."""
-    SeedSpec(master_seed, seed_offset)  # a bad seed is a usage error, not a failed replication
+def _simulate(
+    plan: ExperimentPlan, threads: int, seed_offset: int = 0
+) -> tuple[PairwiseSummary, dict[str, TestArrays]]:
+    """Pairwise reductions of the plan's replications seed_offset .. seed_offset+R-1
+    as (R,) arrays, and the plan's tests scored on them."""
     _resolve_workers(threads)  # a negative count is a usage error
-    reductions = np.empty((replications, 3))
-    for k in range(replications):
+    n, p = plan.n, plan.p
+    reductions = np.empty((plan.replications, 3))
+    for k in range(plan.replications):
         index = seed_offset + k
         try:
-            sample = sample_from_model(model, n, p, SeedSpec(master_seed, index))
+            sample = sample_from_model(plan.model, n, p, SeedSpec(plan.master_seed, index))
             reductions[k] = _kernels.pairwise_reduce(sample.rows)
         except Exception as exc:
             raise RuntimeError(f"replication {index} failed: {exc}") from exc
@@ -154,10 +141,11 @@ def _collect(
             f"replication {seed_offset + k} failed: "
             f"pairwise reductions {reductions[k].tolist()} are not finite"
         )
-    return PairwiseSummary(
+    summary = PairwiseSummary(
         n=n, p=p, sum_inner=reductions[:, 0], sum_inner_sq=reductions[:, 1],
         max_abs_inner=reductions[:, 2],
     )
+    return summary, evaluate_tests(summary, plan.level, plan.tests)
 
 
 def _aggregate(statistic: np.ndarray, reject: np.ndarray) -> TestAggregate:
@@ -183,10 +171,7 @@ def run_rejection_experiment(plan: ExperimentPlan, threads: int = 0) -> Experime
     Replication i draws from its own stream (master_seed, i), so the result
     depends only on the plan; ``threads`` is validated and otherwise unused.
     """
-    summary = _collect(
-        plan.model, plan.n, plan.p, plan.replications, plan.master_seed, threads
-    )
-    results = evaluate_tests(summary, plan.level, plan.tests)
+    _, results = _simulate(plan, threads)
     per_test = {
         name: _aggregate(results[name].statistic, results[name].reject)
         for name in plan.tests
@@ -220,9 +205,11 @@ def run_rayleigh_blindness_diagnostic(
     """How close the mean-direction statistic stays to N(0,1) under the
     symmetric heavy-tailed alternative (where it is asymptotically blind)."""
     _require_symmetric(marginal, "rayleigh blindness diagnostic")
-    model = AlternativeModel.alpha_spherical(marginal)
-    summary = _collect(model, n, p, replications, master_seed, threads)
-    results = evaluate_tests(summary, level, ("rayleigh",))
+    plan = ExperimentPlan(
+        n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
+        level=level, master_seed=master_seed, tests=("rayleigh",),
+    )
+    _, results = _simulate(plan, threads)
     values = results["rayleigh"].statistic
     ks = scipy_stats.kstest(values, "norm")
     return DiagnosticReport(
@@ -251,9 +238,11 @@ def run_bingham_scaling_diagnostic(
     _require_symmetric(marginal, "bingham scaling diagnostic")
     alpha = _require_tail_index(marginal, "bingham scaling diagnostic")
     gamma = p / n
-    model = AlternativeModel.alpha_spherical(marginal)
-    summary = _collect(model, n, p, replications, master_seed, threads)
-    results = evaluate_tests(summary, level, ("bingham",))
+    plan = ExperimentPlan(
+        n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
+        level=level, master_seed=master_seed, tests=("bingham",),
+    )
+    _, results = _simulate(plan, threads)
     scaled = math.sqrt(n) / p * results["bingham"].statistic
     theoretical_sd = (2.0 - alpha) / math.sqrt(8.0 * gamma)
     empirical_sd = float(scaled.std(ddof=1))
@@ -288,7 +277,11 @@ def run_packing_lln_diagnostic(
     """
     if isinstance(model, HeavyTailMarginal):
         model = AlternativeModel.alpha_spherical(model)
-    summary = _collect(model, n, p, replications, master_seed, threads)
+    plan = ExperimentPlan(
+        n=n, p=p, model=model, replications=replications, level=level,
+        master_seed=master_seed, tests=("packing",),
+    )
+    summary, results = _simulate(plan, threads)
     max_abs = summary.max_abs_inner
     return DiagnosticReport(
         kind="packing-lln",
@@ -296,9 +289,7 @@ def run_packing_lln_diagnostic(
             "median_max_abs_inner": float(np.quantile(max_abs, 0.5)),
             "q10_max_abs_inner": float(np.quantile(max_abs, 0.1)),
             "null_max_reference": math.sqrt(4.0 * math.log(n) / p),
-            "packing_rate": float(
-                evaluate_tests(summary, level, ("packing",))["packing"].reject.mean()
-            ),
+            "packing_rate": float(results["packing"].reject.mean()),
         },
     )
 
@@ -313,14 +304,17 @@ def run_independence_diagnostic(
 ) -> DiagnosticReport:
     """Pairwise correlations and the joint-below-medians probability of
     the three statistics under uniformity, plus the combined test's size."""
+    plan = ExperimentPlan(
+        n=n, p=p, model=AlternativeModel.uniform(), replications=replications, level=level,
+        master_seed=master_seed,
+    )
     if p < 5.0 * math.log(n) ** 2:
         warnings.warn(
             f"independence diagnostic at p={p}, n={n}: the asymptotic regime "
             f"expects p well above (log n)^2 = {math.log(n) ** 2:.1f}",
             stacklevel=2,
         )
-    summary = _collect(AlternativeModel.uniform(), n, p, replications, master_seed, threads)
-    results = evaluate_tests(summary, level)
+    _, results = _simulate(plan, threads)
     r = results["rayleigh"].statistic
     b = results["bingham"].statistic
     pk = results["packing"].statistic
@@ -365,18 +359,13 @@ def run_fvml_packing_blindness(
     if p < 2:
         raise ValueError("need p >= 2")
     kappa = fvml_kappa(n, p, tau)
-    tests = ("rayleigh", "packing")
-    alt = evaluate_tests(
-        _collect(AlternativeModel.fvml(kappa), n, p, replications, master_seed, threads),
-        level, tests,
+    plan = ExperimentPlan(
+        n=n, p=p, model=AlternativeModel.fvml(kappa), replications=replications, level=level,
+        master_seed=master_seed, tests=("rayleigh", "packing"),
     )
-    null = evaluate_tests(
-        _collect(
-            AlternativeModel.uniform(), n, p, replications, master_seed, threads,
-            seed_offset=replications,
-        ),
-        level, tests,
-    )
+    _, alt = _simulate(plan, threads)
+    null_plan = replace(plan, model=AlternativeModel.uniform())
+    _, null = _simulate(null_plan, threads, seed_offset=replications)
     packing_rate = float(alt["packing"].reject.mean())
     packing_rate_null = float(null["packing"].reject.mean())
     ks = scipy_stats.ks_2samp(alt["packing"].statistic, null["packing"].statistic)

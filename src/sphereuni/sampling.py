@@ -2,9 +2,10 @@
 
 Covers the uniform null, projections of i.i.d. heavy-tailed coordinates
 (Cauchy, Student-t, symmetrized Pareto, centered chi-square), and the
-Fisher-von Mises-Langevin family.  Every sampler is a pure function of
-its arguments and a SeedSpec, so identical calls give bit-identical
-samples no matter where or when they run.
+Fisher-von Mises-Langevin family.  ``sample_from_model`` draws every
+model, and the per-model samplers are wrappers around it.  Every sampler
+is a pure function of its arguments and a SeedSpec, so identical calls
+give bit-identical samples no matter where or when they run.
 """
 
 from __future__ import annotations
@@ -191,6 +192,12 @@ def _normalize_rows(raw: np.ndarray, redraw, what: str) -> np.ndarray:
 
     Zero norms have probability zero for continuous marginals; a hard cap
     turns a broken generator into a diagnosable error rather than a hang.
+    A row whose norm overflows (a tiny tail parameter draws coordinates
+    near or at inf) is first replaced by its direction, the limit of
+    x/||x||: divided by its largest |x| when its coordinates are finite,
+    else the sign vector of its infinite coordinates.  Every other row
+    keeps its bits.  Callers whose draws can overflow run this under
+    ``np.errstate(over="ignore")``.
     """
     norms = np.linalg.norm(raw, axis=1)
     bad = np.flatnonzero(norms == 0.0)
@@ -204,17 +211,21 @@ def _normalize_rows(raw: np.ndarray, redraw, what: str) -> np.ndarray:
         raw[bad] = redraw(bad.size)
         norms[bad] = np.linalg.norm(raw[bad], axis=1)
         bad = bad[norms[bad] == 0.0]
+    huge = np.flatnonzero(np.isinf(norms))
+    if huge.size:
+        x = raw[huge]
+        inf = np.isinf(x)
+        has_inf = inf.any(axis=1)
+        x[has_inf] = np.where(inf[has_inf], np.sign(x[has_inf]), 0.0)
+        x[~has_inf] /= np.abs(x[~has_inf]).max(axis=1, keepdims=True)
+        raw[huge] = x
+        norms[huge] = np.linalg.norm(x, axis=1)
     return raw / norms[:, None]
 
 
 def sample_uniform_sphere(n: int, p: int, seed: SeedSpec) -> SphericalSample:
     """i.i.d. Unif(S^{p-1}) rows: normalized standard Gaussian vectors."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
-    rng = seed.generator()
-    raw = rng.standard_normal((n, p))
-    rows = _normalize_rows(raw, lambda k: rng.standard_normal((k, p)), "uniform sampler")
-    return SphericalSample(n=n, p=p, rows=rows)
+    return sample_from_model(AlternativeModel.uniform(), n, p, seed)
 
 
 def _draw_raw(marginal: HeavyTailMarginal, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,16 +259,7 @@ def sample_alpha_spherical(
     n: int, p: int, marginal: HeavyTailMarginal, seed: SeedSpec
 ) -> SphericalSample:
     """Rows are (X_1..X_p)/||X|| with i.i.d. heavy-tailed coordinates."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
-    rng = seed.generator()
-    raw = _draw_raw(marginal, n * p, rng).reshape(n, p)
-    rows = _normalize_rows(
-        raw,
-        lambda k: _draw_raw(marginal, k * p, rng).reshape(k, p),
-        f"alpha-spherical sampler ({marginal.kind})",
-    )
-    return SphericalSample(n=n, p=p, rows=rows)
+    return sample_from_model(AlternativeModel.alpha_spherical(marginal), n, p, seed)
 
 
 def _fvml_cosines(n: int, p: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
@@ -300,23 +302,6 @@ def _fvml_cosines(n: int, p: int, kappa: float, rng: np.random.Generator) -> np.
     return np.clip(out, -1.0, 1.0)
 
 
-def _fvml_rows(
-    n: int, p: int, kappa: float, mu: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    t = _fvml_cosines(n, p, kappa, rng)
-    raw = rng.standard_normal((n, p))
-    raw -= np.outer(raw @ mu, mu)
-
-    def redraw_tangent(k: int) -> np.ndarray:
-        fresh = rng.standard_normal((k, p))
-        return fresh - np.outer(fresh @ mu, mu)
-
-    xi = _normalize_rows(raw, redraw_tangent, "FvML tangent sampler")
-    rows = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * xi
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    return rows
-
-
 def sample_fvml(
     n: int, p: int, kappa: float, direction: np.ndarray, seed: SeedSpec
 ) -> SphericalSample:
@@ -325,34 +310,41 @@ def sample_fvml(
     Each row is t*mu + sqrt(1-t^2)*xi with t from the rejection sampler
     and xi uniform on the equator orthogonal to mu.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if p < 2:
-        raise ValueError("FvML sampling needs p >= 2")
-    if not 0.0 <= kappa < math.inf:
-        raise ValueError("kappa must be finite and >= 0")
-    mu = np.asarray(direction, dtype=np.float64)
-    if mu.shape != (p,):
-        raise ValueError(f"direction must have shape ({p},)")
-    if abs(float(np.linalg.norm(mu)) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("direction must have unit norm within 1e-12")
-    rows = _fvml_rows(n, p, float(kappa), mu, seed.generator())
-    return SphericalSample(n=n, p=p, rows=rows)
+    return sample_from_model(AlternativeModel.fvml(kappa, direction), n, p, seed)
 
 
 def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -> SphericalSample:
-    """Dispatch on an AlternativeModel; one stream drives everything."""
-    if model.kind == "uniform":
-        return sample_uniform_sphere(n, p, seed)
-    if model.kind == "alpha_spherical":
-        return sample_alpha_spherical(n, p, model.marginal, seed)
-    if model.direction is not None:
-        return sample_fvml(n, p, model.kappa, model.direction, seed)
-    if p < 2:
-        raise ValueError("FvML sampling needs p >= 2")
-    # fresh direction per call, drawn ahead of the FvML stream proper
+    """Draw n rows from the model; one stream drives everything."""
+    if n < 1 or p < 1:
+        raise ValueError("n and p must be positive")
     rng = seed.generator()
-    mu = rng.standard_normal(p)
-    mu /= np.linalg.norm(mu)
-    rows = _fvml_rows(n, p, float(model.kappa), mu, rng)
+    if model.kind == "uniform":
+        draw = lambda k: rng.standard_normal((k, p))  # noqa: E731
+        rows = _normalize_rows(draw(n), draw, "uniform sampler")
+    elif model.kind == "alpha_spherical":
+        m = model.marginal
+        draw = lambda k: _draw_raw(m, k * p, rng).reshape(k, p)  # noqa: E731
+        # a tiny tail parameter draws coordinates at or near inf; _normalize_rows maps them
+        with np.errstate(over="ignore", divide="ignore"):
+            rows = _normalize_rows(draw(n), draw, f"alpha-spherical sampler ({m.kind})")
+    else:
+        if p < 2:
+            raise ValueError("FvML sampling needs p >= 2")
+        if model.direction is None:
+            # fresh direction per call, drawn ahead of the cosines
+            mu = rng.standard_normal(p)
+            mu /= np.linalg.norm(mu)
+        else:
+            mu = np.asarray(model.direction, dtype=np.float64)
+            if mu.shape != (p,):
+                raise ValueError(f"direction must have shape ({p},)")
+        t = _fvml_cosines(n, p, float(model.kappa), rng)
+
+        def draw(k: int) -> np.ndarray:  # Gaussian rows projected orthogonal to mu
+            x = rng.standard_normal((k, p))
+            return x - np.outer(x @ mu, mu)
+
+        xi = _normalize_rows(draw(n), draw, "FvML tangent sampler")
+        rows = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * xi
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
     return SphericalSample(n=n, p=p, rows=rows)

@@ -159,21 +159,28 @@ def fisher_combination(
     )
 
 
-def evaluate_tests(
-    summary: PairwiseSummary, level: float, tests: tuple[str, ...] = TEST_NAMES
-) -> dict[str, TestArrays]:
-    """Statistic, p-value and rejection of each requested test, in TEST_NAMES order.
-
-    Elementwise over the summary's reductions.  The combined test needs
-    all three component p-values, so it needs n >= 3.
-    """
+def _check_request(n: int, level: float, tests: tuple[str, ...]) -> None:
+    """Reject a level, test list or sample size that `evaluate_tests` cannot score."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     unknown = set(tests) - set(TEST_NAMES)
     if unknown:
         raise ValueError(f"unknown tests: {sorted(unknown)}")
-    if summary.n < 3 and ("packing" in tests or "fisher" in tests):
+    if not tests:
+        raise ValueError("tests must be non-empty")
+    # the combined test needs all three component p-values
+    if n < 3 and ("packing" in tests or "fisher" in tests):
         raise ValueError("packing/fisher tests need n >= 3")
+
+
+def evaluate_tests(
+    summary: PairwiseSummary, level: float, tests: tuple[str, ...] = TEST_NAMES
+) -> dict[str, TestArrays]:
+    """Statistic, p-value and rejection of each requested test, in TEST_NAMES order.
+
+    Elementwise over the summary's reductions.
+    """
+    _check_request(summary.n, level, tests)
     out: dict[str, TestArrays] = {}
     for name, statistic, law in _COMPONENTS:
         if name in tests or "fisher" in tests:

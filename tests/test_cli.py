@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from sphereuni.cli import _parse_table, load_data_csv, main, parse_marginal, parse_scenarios
+from sphereuni.cli import (
+    DIAGNOSE_KINDS,
+    _parse_table,
+    load_data_csv,
+    main,
+    parse_marginal,
+    parse_scenarios,
+)
 
 
 def run_cli(*argv):
@@ -290,8 +297,11 @@ class TestExitCodes:
             (("size-table", "--reps", "1", "--threads", "-1"), "threads must be >= 0"),
             (("size-table", "--reps", "1", "--scenarios", "2x3"), "need n >= 3"),
             (("diagnose", "packing-lln", "--n", "2", "--reps", "5"), "--n >= 3"),
+            *((("diagnose", kind, "--reps", reps), "replications must be >= 1")
+              for kind in DIAGNOSE_KINDS for reps in ("0", "-3")),
         ],
-        ids=["reps-0", "negative-threads", "scenario-n2", "diagnose-n2"],
+        ids=["reps-0", "negative-threads", "scenario-n2", "diagnose-n2",
+             *(f"diagnose-{kind}-reps{reps}" for kind in DIAGNOSE_KINDS for reps in ("0", "-3"))],
     )
     def test_usage_error_is_exit_2(self, capsys, argv, message):
         assert run_cli(*argv) == 2
@@ -339,9 +349,12 @@ class TestConfigFile:
             (("size-table", "--scenarios", "5x3", "--reps", "1"), {"format": "xml"}, "'format'"),
             (("diagnose", "packing-lln", "--reps", "2"), {"n": "abc"}, "'n'"),
             (("diagnose", "fvml-blindness", "--reps", "2"), {"tau": {"a": 1}}, "'tau'"),
+            (("sample",), {"model": "ALPHA"}, "'model'"),
+            (("sample",), {"model": " fvml "}, "'model'"),
         ],
         ids=["sample-n-text", "sample-n-fraction", "sample-kappa-list",
-             "size-table-reps", "size-table-format", "diagnose-n", "diagnose-tau"],
+             "size-table-reps", "size-table-format", "diagnose-n", "diagnose-tau",
+             "sample-model-alias", "sample-model-padded"],
     )
     def test_wrong_type_value_is_exit_2(self, tmp_path, capsys, argv, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -390,6 +403,25 @@ class TestRejectedRequests:
         err = capsys.readouterr().err
         assert f"bad marginal spec {spec!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["t:0.01", "t:1e-5", "pareto:0.01", "pareto:1e-300"])
+    def test_overflowing_tail_parameter_diagnose(self, capsys, spec):
+        # raw coordinates (or their squares) overflow to inf; rows take their limit direction
+        assert run_cli("diagnose", "packing-lln", "--marginal", spec,
+                       "--n", "10", "--p", "3", "--reps", "3") == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        metrics = json.loads(out)["metrics"]
+        assert 0.0 < metrics["median_max_abs_inner"] <= 1.0 + 1e-12
+
+    def test_overflowing_tail_parameter_sample(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli("sample", "--model", "alpha-spherical", "--marginal", "t:1e-5",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        rows = np.loadtxt(out, delimiter=",", comments="#")
+        assert rows.shape == (100, 100)
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_empty_scenarios(self, tmp_path, capsys, via):

@@ -17,7 +17,7 @@ from sphereuni.experiments import (
     run_rejection_experiment,
 )
 from sphereuni.sampling import AlternativeModel, HeavyTailMarginal, SeedSpec, sample_from_model
-from sphereuni.stats import evaluate_tests, run_all_tests
+from sphereuni.stats import run_all_tests
 
 CAUCHY = HeavyTailMarginal.cauchy()
 UNIFORM = AlternativeModel.uniform()
@@ -209,8 +209,8 @@ class TestEngine:
     def test_matches_run_all_tests_bit_for_bit(self, model, n, p):
         # n=300 takes the kernel's tiled path; vectorized p-values must not drift
         reps, seed, offset = 5, 31, 7
-        summary = experiments._collect(model, n, p, reps, seed, threads=2, seed_offset=offset)
-        results = evaluate_tests(summary, 0.05)
+        plan = ExperimentPlan(n=n, p=p, model=model, replications=reps, master_seed=seed)
+        _, results = experiments._simulate(plan, threads=2, seed_offset=offset)
         for k in range(reps):
             sample = sample_from_model(model, n, p, SeedSpec(seed, offset + k))
             for o in run_all_tests(sample, 0.05):

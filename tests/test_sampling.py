@@ -183,6 +183,38 @@ class TestAlphaSphericalSampler:
             _normalize_rows(raw, lambda k: np.zeros((k, 2)), "broken marginal")
 
 
+class TestOverflowingRows:
+    def test_rows_whose_norm_overflows_take_their_limit_direction(self):
+        raw = np.array([
+            [3.0, -4.0],
+            [1e200, -1e200],
+            [np.inf, -5.0],
+            [-np.inf, np.inf],
+            [1e300, 1.0],
+            [0.5, -1e-310],
+        ])
+        kept = raw[[0, 5]] / np.linalg.norm(raw[[0, 5]], axis=1)[:, None]
+        with np.errstate(over="ignore"):
+            rows = _normalize_rows(raw.copy(), None, "test rows")
+        h = 1.0 / math.sqrt(2.0)
+        np.testing.assert_array_equal(rows[[1, 2, 3, 4]], [[h, -h], [1.0, 0.0], [-h, h], [1.0, 1e-300]])
+        # every row whose norm is finite keeps its bits
+        np.testing.assert_array_equal(rows[[0, 5]].view(np.uint64), kept.view(np.uint64))
+
+    @pytest.mark.parametrize("p", [1, 3, 50])
+    def test_pareto_tiny_index_gives_sign_vectors(self, p):
+        # (1-u)^(-1/alpha) is inf for alpha = 1e-300, so each row is a sign vector / sqrt(p)
+        rows = sample_alpha_spherical(40, p, HeavyTailMarginal.pareto(1e-300), SeedSpec(24)).rows
+        np.testing.assert_array_equal(np.abs(rows), 1.0 / np.sqrt(p))
+
+    @pytest.mark.parametrize("marginal", [HeavyTailMarginal.student_t(1e-5),
+                                          HeavyTailMarginal.student_t(0.01),
+                                          HeavyTailMarginal.pareto(0.01)])
+    def test_tiny_tail_parameter_gives_unit_rows(self, marginal):
+        rows = sample_alpha_spherical(200, 30, marginal, SeedSpec(25)).rows
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
+
+
 class TestFvmlSampler:
     def test_kappa_zero_matches_uniform_law(self):
         # concentration zero must behave exactly like the null: check the
@@ -231,6 +263,11 @@ class TestFvmlSampler:
 
 
 class TestAlternativeModel:
+    def test_direction_must_match_dimension(self):
+        model = AlternativeModel.fvml(1.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"direction must have shape \(3,\)"):
+            sample_from_model(model, 5, 3, SeedSpec(1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AlternativeModel("watson")
