@@ -29,6 +29,7 @@ from .sampling import (
     AlternativeModel,
     HeavyTailMarginal,
     SeedSpec,
+    _check_model_dimension,
     sample_from_model,
 )
 from .stats import TEST_NAMES, PairwiseSummary, TestArrays, _check_request, evaluate_tests
@@ -75,6 +76,7 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.n < 2 or self.p < 1:
             raise ValueError("need n >= 2 and p >= 1")
+        _check_model_dimension(self.model, self.p)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         SeedSpec(self.master_seed)  # a bad seed is a usage error, not a failed replication
@@ -193,6 +195,12 @@ def _require_tail_index(marginal: HeavyTailMarginal, what: str) -> float:
     return alpha
 
 
+def _require_spread(plan: ExperimentPlan, what: str) -> None:
+    # a standard deviation or a correlation needs at least two replications
+    if plan.replications < 2:
+        raise ValueError(f"{what}: replications must be >= 2")
+
+
 def run_rayleigh_blindness_diagnostic(
     n: int,
     p: int,
@@ -209,6 +217,7 @@ def run_rayleigh_blindness_diagnostic(
         n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
         level=level, master_seed=master_seed, tests=("rayleigh",),
     )
+    _require_spread(plan, "rayleigh blindness diagnostic")
     _, results = _simulate(plan, threads)
     values = results["rayleigh"].statistic
     ks = scipy_stats.kstest(values, "norm")
@@ -242,6 +251,7 @@ def run_bingham_scaling_diagnostic(
         n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
         level=level, master_seed=master_seed, tests=("bingham",),
     )
+    _require_spread(plan, "bingham scaling diagnostic")
     _, results = _simulate(plan, threads)
     scaled = math.sqrt(n) / p * results["bingham"].statistic
     theoretical_sd = (2.0 - alpha) / math.sqrt(8.0 * gamma)
@@ -308,6 +318,7 @@ def run_independence_diagnostic(
         n=n, p=p, model=AlternativeModel.uniform(), replications=replications, level=level,
         master_seed=master_seed,
     )
+    _require_spread(plan, "independence diagnostic")
     if p < 5.0 * math.log(n) ** 2:
         warnings.warn(
             f"independence diagnostic at p={p}, n={n}: the asymptotic regime "
@@ -356,8 +367,6 @@ def run_fvml_packing_blindness(
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if p < 2:
-        raise ValueError("need p >= 2")
     kappa = fvml_kappa(n, p, tau)
     plan = ExperimentPlan(
         n=n, p=p, model=AlternativeModel.fvml(kappa), replications=replications, level=level,

@@ -178,14 +178,6 @@ class AlternativeModel:
     def fvml(cls, kappa: float, direction: np.ndarray | None = None) -> "AlternativeModel":
         return cls("fvml", kappa=float(kappa), direction=direction)
 
-    def describe(self) -> str:
-        if self.kind == "uniform":
-            return "uniform"
-        if self.kind == "alpha_spherical":
-            m = self.marginal
-            return f"alpha_spherical({m.kind}{'' if m.param is None else f'={m.param:g}'})"
-        return f"fvml(kappa={self.kappa:g})"
-
 
 def _normalize_rows(raw: np.ndarray, redraw, what: str) -> np.ndarray:
     """Project rows to unit norm, redrawing any zero-norm row.
@@ -229,27 +221,35 @@ def sample_uniform_sphere(n: int, p: int, seed: SeedSpec) -> SphericalSample:
 
 
 def _draw_raw(marginal: HeavyTailMarginal, count: int, rng: np.random.Generator) -> np.ndarray:
-    if marginal.kind == "cauchy":
-        u = rng.random(count)
-        return np.tan(np.pi * (u - 0.5))
-    if marginal.kind == "student_t":
-        nu = marginal.param
+    # a tiny tail parameter overflows a draw to +-inf (pareto's power, a t draw over
+    # a zero chi-square); that is the draw's value, not an error
+    with np.errstate(over="ignore", divide="ignore"):
+        if marginal.kind == "cauchy":
+            u = rng.random(count)
+            return np.tan(np.pi * (u - 0.5))
+        if marginal.kind == "student_t":
+            nu = marginal.param
+            z = rng.standard_normal(count)
+            v = rng.chisquare(nu, count)
+            return z / np.sqrt(v / nu)
+        if marginal.kind == "pareto":
+            alpha = marginal.param
+            u = rng.random(count)
+            magnitude = (1.0 - u) ** (-1.0 / alpha)
+            sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+            return sign * magnitude
+        # centered_chisq1: chi^2(1) has mean 1 and variance 2
         z = rng.standard_normal(count)
-        v = rng.chisquare(nu, count)
-        return z / np.sqrt(v / nu)
-    if marginal.kind == "pareto":
-        alpha = marginal.param
-        u = rng.random(count)
-        magnitude = (1.0 - u) ** (-1.0 / alpha)
-        sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        return sign * magnitude
-    # centered_chisq1: chi^2(1) has mean 1 and variance 2
-    z = rng.standard_normal(count)
-    return (z * z - 1.0) / np.sqrt(2.0)
+        return (z * z - 1.0) / np.sqrt(2.0)
 
 
 def draw_marginal(marginal: HeavyTailMarginal, count: int, seed: SeedSpec) -> np.ndarray:
-    """i.i.d. draws from the raw (pre-projection) coordinate law."""
+    """i.i.d. draws from the raw (pre-projection) coordinate law.
+
+    A tiny tail parameter (``student_t(1e-5)``, ``pareto(1e-300)``) draws
+    values beyond the float range; those come back as +-inf, without a
+    warning.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     return _draw_raw(marginal, count, seed.generator())
@@ -313,10 +313,21 @@ def sample_fvml(
     return sample_from_model(AlternativeModel.fvml(kappa, direction), n, p, seed)
 
 
+def _check_model_dimension(model: AlternativeModel, p: int) -> None:
+    """The model's rules that depend on p: FvML needs p >= 2 and a direction of shape (p,)."""
+    if model.kind != "fvml":
+        return
+    if p < 2:
+        raise ValueError("FvML sampling needs p >= 2")
+    if model.direction is not None and np.shape(model.direction) != (p,):
+        raise ValueError(f"direction must have shape ({p},)")
+
+
 def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -> SphericalSample:
     """Draw n rows from the model; one stream drives everything."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
+    _check_model_dimension(model, p)
     rng = seed.generator()
     if model.kind == "uniform":
         draw = lambda k: rng.standard_normal((k, p))  # noqa: E731
@@ -324,20 +335,16 @@ def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -
     elif model.kind == "alpha_spherical":
         m = model.marginal
         draw = lambda k: _draw_raw(m, k * p, rng).reshape(k, p)  # noqa: E731
-        # a tiny tail parameter draws coordinates at or near inf; _normalize_rows maps them
-        with np.errstate(over="ignore", divide="ignore"):
+        # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
+        with np.errstate(over="ignore"):
             rows = _normalize_rows(draw(n), draw, f"alpha-spherical sampler ({m.kind})")
     else:
-        if p < 2:
-            raise ValueError("FvML sampling needs p >= 2")
         if model.direction is None:
             # fresh direction per call, drawn ahead of the cosines
             mu = rng.standard_normal(p)
             mu /= np.linalg.norm(mu)
         else:
             mu = np.asarray(model.direction, dtype=np.float64)
-            if mu.shape != (p,):
-                raise ValueError(f"direction must have shape ({p},)")
         t = _fvml_cosines(n, p, float(model.kappa), rng)
 
         def draw(k: int) -> np.ndarray:  # Gaussian rows projected orthogonal to mu

@@ -80,7 +80,7 @@ class TestArrays(NamedTuple):
 
 
 def pairwise_summary(sample: SphericalSample) -> PairwiseSummary:
-    """Reduce all row pairs i < j; beyond 256 rows the Gram matrix is tiled."""
+    """Reduce all row pairs i < j, one 256-row tile of the Gram matrix at a time."""
     if sample.n < 2:
         raise ValueError("pairwise statistics need n >= 2")
     s1, s2, m = _kernels.pairwise_reduce(sample.rows)

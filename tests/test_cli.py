@@ -289,6 +289,9 @@ class TestDiagnose:
                        "--n", "20", "--p", "10", "--reps", "5", "--seed", "1") == 2
 
 
+SPREAD_KINDS = ("rayleigh-blindness", "bingham-scaling", "independence")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
@@ -299,15 +302,20 @@ class TestExitCodes:
             (("diagnose", "packing-lln", "--n", "2", "--reps", "5"), "--n >= 3"),
             *((("diagnose", kind, "--reps", reps), "replications must be >= 1")
               for kind in DIAGNOSE_KINDS for reps in ("0", "-3")),
+            # a standard deviation or a correlation needs two replications
+            *((("diagnose", kind, "--reps", "1"), "replications must be >= 2")
+              for kind in SPREAD_KINDS),
         ],
         ids=["reps-0", "negative-threads", "scenario-n2", "diagnose-n2",
-             *(f"diagnose-{kind}-reps{reps}" for kind in DIAGNOSE_KINDS for reps in ("0", "-3"))],
+             *(f"diagnose-{kind}-reps{reps}" for kind in DIAGNOSE_KINDS for reps in ("0", "-3")),
+             *(f"diagnose-{kind}-reps1" for kind in SPREAD_KINDS)],
     )
     def test_usage_error_is_exit_2(self, capsys, argv, message):
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
 
     def test_internal_error_is_exit_1(self, tmp_path, monkeypatch):
         data = tmp_path / "u.csv"

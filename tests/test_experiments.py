@@ -44,6 +44,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(n=2)  # packing/fisher need n >= 3
 
+    def test_fvml_needs_p_at_least_2_before_any_replication(self):
+        with pytest.raises(ValueError, match=r"FvML sampling needs p >= 2"):
+            small_plan(p=1, model=AlternativeModel.fvml(1.0))
+
+    def test_fvml_direction_must_match_p_before_any_replication(self):
+        model = AlternativeModel.fvml(1.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"direction must have shape \(3,\)"):
+            small_plan(p=3, model=model)
+
     def test_rayleigh_only_plan_allows_n2(self):
         plan = small_plan(n=2, tests=("rayleigh", "bingham"))
         result = run_rejection_experiment(plan, threads=1)
@@ -189,11 +198,15 @@ class TestFvmlBlindness:
 
 
 class TestReplicationErrorAnnotation:
-    def test_failure_names_replication(self):
-        # p=1 makes the fvml sampler fail inside the replication loop
+    def test_failure_names_replication(self, monkeypatch):
+        def failing(model, n, p, seed):
+            if seed.replication_index == 0:
+                raise ValueError("synthetic sampler failure")
+            return sample_from_model(model, n, p, seed)
+
+        monkeypatch.setattr(experiments, "sample_from_model", failing)
         plan = ExperimentPlan(
-            n=5, p=1, model=AlternativeModel.fvml(1.0), replications=3,
-            master_seed=1, tests=("rayleigh",),
+            n=5, p=3, model=UNIFORM, replications=3, master_seed=1, tests=("rayleigh",),
         )
         with pytest.raises(RuntimeError, match="replication 0"):
             run_rejection_experiment(plan, threads=1)
@@ -207,7 +220,7 @@ class TestEngine:
     )
     @pytest.mark.parametrize("n, p", [(3, 5), (40, 20), (300, 8)])
     def test_matches_run_all_tests_bit_for_bit(self, model, n, p):
-        # n=300 takes the kernel's tiled path; vectorized p-values must not drift
+        # n=300 spans two kernel tiles; vectorized p-values must not drift
         reps, seed, offset = 5, 31, 7
         plan = ExperimentPlan(n=n, p=p, model=model, replications=reps, master_seed=seed)
         _, results = experiments._simulate(plan, threads=2, seed_offset=offset)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ class TestDrawMarginal:
     def test_pareto_signs_balanced(self):
         d = draw_marginal(HeavyTailMarginal.pareto(1.0), 40_000, SeedSpec(14))
         assert abs((d > 0).mean() - 0.5) < 0.02
+
+    @pytest.mark.parametrize("marginal", [HeavyTailMarginal.pareto(1e-300),
+                                          HeavyTailMarginal.student_t(1e-5)])
+    def test_tiny_tail_parameter_draws_inf_without_warning(self, marginal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = draw_marginal(marginal, 4, SeedSpec(1))
+        assert np.isinf(d).any()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -296,8 +305,3 @@ class TestAlternativeModel:
         db = b.rows.mean(axis=0)
         cos = da @ db / (np.linalg.norm(da) * np.linalg.norm(db))
         assert cos < 0.99  # replications do not share one direction
-
-    def test_describe(self):
-        assert AlternativeModel.uniform().describe() == "uniform"
-        assert "cauchy" in AlternativeModel.alpha_spherical(CAUCHY).describe()
-        assert "kappa=2" in AlternativeModel.fvml(2.0).describe()

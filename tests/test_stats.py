@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from sphereuni import _kernels
 from sphereuni.oracles import brute_statistics, random_rotation
 from sphereuni.sampling import SeedSpec, SphericalSample, sample_uniform_sphere
 from sphereuni.stats import (
@@ -61,7 +63,7 @@ class TestPairwiseSummary:
         assert 0.0 <= s.max_abs_inner <= 1.0 + 1e-12
         assert s.sum_inner_sq >= s.max_abs_inner**2
 
-    # n straddles the 256-row tile: one-shot up to 256, tiled beyond (partial last tile)
+    # n straddles the 256-row tile: one tile up to 256, a partial last tile beyond
     @pytest.mark.parametrize("p", [1, 5, 100])
     @pytest.mark.parametrize("n", [3, 255, 256, 257, 513])
     def test_matches_brute_force_across_tile_boundary(self, n, p):
@@ -74,6 +76,25 @@ class TestPairwiseSummary:
         )
         for got, want in zip(fast, brute_statistics(sample)):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    # the one-shot Gram formula behind perfbench/reference.json; up to 256 rows (one tile)
+    # the kernel must reproduce it bit for bit, at the size table's dimensions
+    @pytest.mark.parametrize("p", [40, 100, 120])
+    @pytest.mark.parametrize("n", [3, 80, 100, 255, 256])
+    def test_single_tile_matches_one_shot_gram_bit_for_bit(self, n, p):
+        rows = sample_uniform_sphere(n, p, SeedSpec(75, n * 1000 + p)).rows
+        s = rows.sum(axis=0)
+        g = rows @ rows.T
+        sum_inner_sq = (float(np.einsum("ij,ij->", g, g)) - n) / 2.0
+        np.fill_diagonal(g, 0.0)
+        want = ((float(s @ s) - n) / 2.0, sum_inner_sq, float(np.abs(g).max()))
+        assert _kernels.pairwise_reduce(rows) == want
+
+    @pytest.mark.parametrize("n", [30, 300])
+    def test_nan_in_last_tile_makes_max_nan(self, n):
+        rows = sample_uniform_sphere(n, 5, SeedSpec(76)).rows.copy()
+        rows[n - 1, 0] = np.nan
+        assert math.isnan(_kernels.pairwise_reduce(rows)[2])
 
     def test_tiled_peak_memory(self):
         # the one-shot Gram matrix alone would take 2000^2 * 8 B = 32 MB
