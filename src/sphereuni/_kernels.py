@@ -1,39 +1,71 @@
 """Pairwise inner-product reduction.
 
-Reduces all row pairs i < j of an (n, p) matrix of unit rows to the sum
-of inner products, the sum of squared inner products and the largest
-absolute inner product.  One loop reduces the Gram matrix in row tiles
-rows[i:i+_TILE] @ rows[i:].T, so extra memory is O(_TILE * n), not O(n^2).
-Up to _TILE rows the single tile is the whole Gram matrix.
+Reduces all row pairs i < j of each (n, p) sample in a (B, n, p) stack of
+unit rows to the sum of inner products, the sum of squared inner products
+and the largest absolute inner product.  One loop reduces the Gram
+matrices in row tiles rows[:, i:i+_TILE] @ rows[:, i:].T, so extra memory
+is O(B * _TILE * n), not O(B * n^2).  Up to _TILE rows the single tile is
+the whole Gram matrix.  The tiles run on the thread map and are combined
+in tile order, with OpenBLAS pinned to one thread, so the bits do not
+depend on the worker count or on the host's BLAS setting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._parallel import blas_pin, resolve_workers, thread_map
+
 __all__ = ["pairwise_reduce"]
 
-# rows per Gram tile: bounds the extra memory at _TILE * n floats
+# rows per Gram tile: bounds the extra memory at _TILE * n floats per sample
 _TILE = 256
 
 
-def pairwise_reduce(rows: np.ndarray) -> tuple[float, float, float]:
-    """(sum, sum of squares, max abs) of inner products over row pairs i < j."""
-    n = rows.shape[0]
-    s = rows.sum(axis=0)
-    sum_inner = (float(s @ s) - n) / 2.0
-    sum_inner_sq = 0.0
-    max_abs = 0.0
-    for i in range(0, n, _TILE):
-        tile = rows[i : i + _TILE] @ rows[i:].T
-        b = tile.shape[0]
-        # the leading b x b block is symmetric with a unit diagonal: its pairs give (sum - b) / 2
-        block = tile[:, :b]
-        sum_inner_sq += (float(np.einsum("ij,ij->", block, block)) - b) / 2.0
-        if b < tile.shape[1]:
-            rest = tile[:, b:]
-            sum_inner_sq += float(np.einsum("ij,ij->", rest, rest))
-        np.fill_diagonal(block, 0.0)
+def _reduce_tile(
+    stack: np.ndarray, i: int, space: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Row tile i of each sample, computed in `space`: sums of squares of its leading
+    block's pairs and of the rest of the tile (None when empty), and its max |g| off
+    the diagonal."""
+    rows = stack[:, i : i + _TILE]
+    b, width = rows.shape[1], stack.shape[1] - i
+    # a C-contiguous view: into a strided `out` the product rounds differently
+    tile = space[: len(stack) * b * width].reshape(len(stack), b, width)
+    np.matmul(rows, stack[:, i:].transpose(0, 2, 1), out=tile)
+    # the leading b x b block is symmetric with a unit diagonal: its pairs give (sum - b) / 2;
+    # einsum runs sample by sample, since over a stack it sums in chunks, in another order
+    head = np.array([(float(np.einsum("ij,ij->", g[:, :b], g[:, :b])) - b) / 2.0 for g in tile])
+    rest = None
+    if b < width:
+        rest = np.array([float(np.einsum("ij,ij->", g[:, b:], g[:, b:])) for g in tile])
+    tile.reshape(len(tile), -1)[:, :: width + 1] = 0.0  # each leading block's diagonal
+    return head, rest, np.abs(tile, out=tile).max(axis=(1, 2))
+
+
+def pairwise_reduce(stack: np.ndarray, threads: int = 0) -> np.ndarray:
+    """(sum, sum of squares, max abs) of inner products over row pairs i < j,
+    one row of the (B, 3) result per sample of the (B, n, p) stack.
+
+    `threads` sets the workers of the tile map, as for the replication engine.
+    """
+    n = stack.shape[1]
+    with blas_pin:
+        s = stack.sum(axis=1)
+        out = np.empty((len(stack), 3))
+        out[:, 0] = ((s[:, None, :] @ s[:, :, None])[:, 0, 0] - n) / 2.0
+        starts = range(0, n, _TILE)
+        # one tile's worth of memory per worker; the first tile is the widest
+        size = len(stack) * min(n, _TILE) * n
+        spaces = [np.empty(size) for _ in range(resolve_workers(threads, len(starts)))]
+        tiles = thread_map(lambda i, space: _reduce_tile(stack, i, space), starts, spaces)
+    sum_sq, max_abs = 0.0, 0.0
+    for head, rest, tile_max in tiles:  # in tile order, as one serial loop adds them
+        sum_sq = sum_sq + head
+        if rest is not None:
+            sum_sq = sum_sq + rest
         # np.maximum, unlike the builtin max, propagates a NaN from any tile
-        max_abs = np.maximum(max_abs, np.abs(tile).max())
-    return sum_inner, sum_inner_sq, float(max_abs)
+        max_abs = np.maximum(max_abs, tile_max)
+    out[:, 1] = sum_sq
+    out[:, 2] = max_abs
+    return out

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import traceback
+import warnings
 from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
@@ -471,12 +472,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if config["n"] < 3:
         raise CliError(f"diagnostics need --n >= 3, got {config['n']}")
     try:
-        report = DIAGNOSTICS[args.kind](
-            config, n=config["n"], p=config["p"], replications=config["reps"],
-            master_seed=config["seed"], level=config["level"], threads=config["threads"],
-        )
+        # each warning becomes one stderr line, not a source location and line
+        with warnings.catch_warnings(record=True) as caught:
+            report = DIAGNOSTICS[args.kind](
+                config, n=config["n"], p=config["p"], replications=config["reps"],
+                master_seed=config["seed"], level=config["level"], threads=config["threads"],
+            )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
 
     _write_json(args.out, config, {"kind": report.kind, "metrics": report.metrics})
     return 0

@@ -9,10 +9,12 @@ p-values and rejections of the plan's tests are then computed once,
 vectorized over replications, through the same ``stats.evaluate_tests``
 that ``run_all_tests`` uses for a single sample.
 
-Replications run serially.  On a 2-vCPU host a thread pool made a
-size-table cell slower at OpenBLAS's default thread count, so the
-``threads`` argument is validated but has no effect on how the loop runs;
-results are therefore identical for every requested count.
+Replications run in fixed blocks of up to 8 on the thread map, with
+OpenBLAS pinned to one thread: ``threads`` workers, or one per available
+CPU when it is 0, never more than there are blocks.  Each worker fills its
+own (B, n, p) block buffer; the block's norms, unit-norm check and Gram
+reductions run once per block.  Replication i depends on i alone, so
+results are bit-identical for every worker count and block split.
 """
 
 from __future__ import annotations
@@ -25,11 +27,16 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from . import _kernels
+from ._parallel import blas_pin, thread_map
+from ._parallel import resolve_workers as _resolve_workers
 from .sampling import (
+    UNIT_NORM_TOL,
     AlternativeModel,
     HeavyTailMarginal,
     SeedSpec,
     _check_model_dimension,
+    _norm_deviation,
+    _sample_block,
     sample_from_model,
 )
 from .stats import TEST_NAMES, PairwiseSummary, TestArrays, _check_request, evaluate_tests
@@ -113,28 +120,50 @@ class DiagnosticReport:
                 raise ValueError(f"diagnostic metric {key} is not finite: {value}")
 
 
-def _resolve_workers(threads: int) -> int:
-    """Workers actually used for a requested thread count: always 1."""
-    if threads < 0:
-        raise ValueError("threads must be >= 0")
-    return 1
+# replications per block: 8, fewer when a sample and its Gram tile would pass _BLOCK_FLOATS
+_BLOCK = 8
+_BLOCK_FLOATS = _BLOCK * _kernels._TILE * _kernels._TILE
+
+
+def _block_size(n: int, p: int) -> int:
+    return max(1, min(_BLOCK, _BLOCK_FLOATS // (n * max(p, min(n, _kernels._TILE)))))
 
 
 def _simulate(
     plan: ExperimentPlan, threads: int, seed_offset: int = 0
 ) -> tuple[PairwiseSummary, dict[str, TestArrays]]:
     """Pairwise reductions of the plan's replications seed_offset .. seed_offset+R-1
-    as (R,) arrays, and the plan's tests scored on them."""
-    _resolve_workers(threads)  # a negative count is a usage error
-    n, p = plan.n, plan.p
-    reductions = np.empty((plan.replications, 3))
-    for k in range(plan.replications):
-        index = seed_offset + k
+    as (R,) arrays, and the plan's tests scored on them.
+
+    Blocks of replications run on the thread map; `threads` is its worker count.
+    """
+    n, p, reps = plan.n, plan.p, plan.replications
+    size = _block_size(n, p)
+    reductions = np.empty((reps, 3))
+
+    def run_block(start: int, rows: np.ndarray) -> None:
+        block = rows[: min(size, reps - start)]
+        seeds = [SeedSpec(plan.master_seed, seed_offset + start + k) for k in range(len(block))]
         try:
-            sample = sample_from_model(plan.model, n, p, SeedSpec(plan.master_seed, index))
-            reductions[k] = _kernels.pairwise_reduce(sample.rows)
-        except Exception as exc:
-            raise RuntimeError(f"replication {index} failed: {exc}") from exc
+            _sample_block(plan.model, p, seeds, block)
+            if not (_norm_deviation(block) <= UNIT_NORM_TOL).all():  # also catches NaN rows
+                raise RuntimeError("row norms deviate from 1")
+        except Exception:
+            # a sample drawn alone has the bits it has in the block, so it fails alone too
+            for seed in seeds:
+                try:
+                    sample_from_model(plan.model, n, p, seed)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"replication {seed.replication_index} failed: {exc}"
+                    ) from exc
+            raise
+        reductions[start : start + len(block)] = _kernels.pairwise_reduce(block, threads=1)
+
+    starts = range(0, reps, size)
+    blocks = [np.empty((size, n, p)) for _ in range(_resolve_workers(threads, len(starts)))]
+    with blas_pin:
+        thread_map(run_block, starts, blocks)
 
     bad = np.flatnonzero(~np.isfinite(reductions).all(axis=1))
     if bad.size:
@@ -171,7 +200,8 @@ def run_rejection_experiment(plan: ExperimentPlan, threads: int = 0) -> Experime
     """Monte Carlo rejection rates for the planned tests.
 
     Replication i draws from its own stream (master_seed, i), so the result
-    depends only on the plan; ``threads`` is validated and otherwise unused.
+    depends only on the plan, not on ``threads`` (the worker count, 0 for
+    one per available CPU).
     """
     _, results = _simulate(plan, threads)
     per_test = {

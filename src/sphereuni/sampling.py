@@ -2,10 +2,12 @@
 
 Covers the uniform null, projections of i.i.d. heavy-tailed coordinates
 (Cauchy, Student-t, symmetrized Pareto, centered chi-square), and the
-Fisher-von Mises-Langevin family.  ``sample_from_model`` draws every
-model, and the per-model samplers are wrappers around it.  Every sampler
-is a pure function of its arguments and a SeedSpec, so identical calls
-give bit-identical samples no matter where or when they run.
+Fisher-von Mises-Langevin family.  One body draws every model into a
+block of samples, each from its own SeedSpec stream, and normalizes the
+whole block at once; ``sample_from_model`` is a block of one, and the
+per-model samplers are wrappers around it.  Every sampler is a pure
+function of its arguments and a SeedSpec, so identical calls give
+bit-identical samples no matter where, when or in which block they run.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class SeedSpec:
         return np.random.default_rng(ss)
 
 
+def _norm_deviation(rows: np.ndarray) -> np.ndarray:
+    """Largest | ||x|| - 1 | over the rows x of each (n, p) sample in `rows`; NaN rows give NaN."""
+    return np.abs(np.linalg.norm(rows, axis=-1) - 1.0).max(axis=-1)
+
+
 @dataclass(frozen=True)
 class SphericalSample:
     """n points on S^{p-1}, one per row."""
@@ -69,8 +76,7 @@ class SphericalSample:
             raise ValueError("n and p must be positive")
         if self.rows.shape != (self.n, self.p):
             raise ValueError(f"rows must have shape ({self.n}, {self.p})")
-        norms = np.linalg.norm(self.rows, axis=1)
-        worst = float(np.abs(norms - 1.0).max())
+        worst = float(_norm_deviation(self.rows))
         if not worst <= UNIT_NORM_TOL:  # also rejects NaN rows
             raise ValueError(f"row norms deviate from 1 by up to {worst:.3e}")
 
@@ -179,11 +185,13 @@ class AlternativeModel:
         return cls("fvml", kappa=float(kappa), direction=direction)
 
 
-def _normalize_rows(raw: np.ndarray, redraw, what: str) -> np.ndarray:
-    """Project rows to unit norm, redrawing any zero-norm row.
+def _normalize_rows(raw: np.ndarray, redraws, what: str) -> None:
+    """Project the rows of each sample in a (B, n, p) block to unit norm, in place.
 
-    Zero norms have probability zero for continuous marginals; a hard cap
-    turns a broken generator into a diagnosable error rather than a hang.
+    A zero-norm row of sample k is redrawn by redraws[k](count), which draws
+    `count` fresh raw rows from that sample's stream.  Zero norms have
+    probability zero for continuous marginals; a hard cap turns a broken
+    generator into a diagnosable error rather than a hang.
     A row whose norm overflows (a tiny tail parameter draws coordinates
     near or at inf) is first replaced by its direction, the limit of
     x/||x||: divided by its largest |x| when its coordinates are finite,
@@ -191,20 +199,22 @@ def _normalize_rows(raw: np.ndarray, redraw, what: str) -> np.ndarray:
     keeps its bits.  Callers whose draws can overflow run this under
     ``np.errstate(over="ignore")``.
     """
-    norms = np.linalg.norm(raw, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    attempts = 0
-    while bad.size:
-        attempts += 1
-        if attempts > _MAX_RENORM_ATTEMPTS:
-            raise RuntimeError(
-                f"{what}: {_MAX_RENORM_ATTEMPTS} consecutive zero-norm draws"
-            )
-        raw[bad] = redraw(bad.size)
-        norms[bad] = np.linalg.norm(raw[bad], axis=1)
-        bad = bad[norms[bad] == 0.0]
-    huge = np.flatnonzero(np.isinf(norms))
-    if huge.size:
+    norms = np.linalg.norm(raw, axis=-1)
+    for k in np.flatnonzero((norms == 0.0).any(axis=1)):
+        rows, row_norms = raw[k], norms[k]
+        bad = np.flatnonzero(row_norms == 0.0)
+        attempts = 0
+        while bad.size:
+            attempts += 1
+            if attempts > _MAX_RENORM_ATTEMPTS:
+                raise RuntimeError(
+                    f"{what}: {_MAX_RENORM_ATTEMPTS} consecutive zero-norm draws"
+                )
+            rows[bad] = redraws[k](bad.size)
+            row_norms[bad] = np.linalg.norm(rows[bad], axis=1)
+            bad = bad[row_norms[bad] == 0.0]
+    huge = np.isinf(norms)
+    if huge.any():
         x = raw[huge]
         inf = np.isinf(x)
         has_inf = inf.any(axis=1)
@@ -212,7 +222,7 @@ def _normalize_rows(raw: np.ndarray, redraw, what: str) -> np.ndarray:
         x[~has_inf] /= np.abs(x[~has_inf]).max(axis=1, keepdims=True)
         raw[huge] = x
         norms[huge] = np.linalg.norm(x, axis=1)
-    return raw / norms[:, None]
+    raw /= norms[..., None]
 
 
 def sample_uniform_sphere(n: int, p: int, seed: SeedSpec) -> SphericalSample:
@@ -323,35 +333,61 @@ def _check_model_dimension(model: AlternativeModel, p: int) -> None:
         raise ValueError(f"direction must have shape ({p},)")
 
 
+def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray):
+    """Draw one sample's raw rows into `out`, an (n, p) array, from `seed`'s stream.
+
+    Returns the call that draws k more raw rows from the same stream and,
+    for FvML, the (direction, cosines) the unit tangent rows are combined with.
+    """
+    rng = seed.generator()
+    n = out.shape[0]
+    if model.kind == "uniform":
+        rng.standard_normal(out=out)
+        return (lambda k: rng.standard_normal((k, p))), None
+    if model.kind == "alpha_spherical":
+        m = model.marginal
+        draw = lambda k: _draw_raw(m, k * p, rng).reshape(k, p)  # noqa: E731
+        out[...] = draw(n)
+        return draw, None
+    if model.direction is None:
+        # fresh direction per sample, drawn ahead of the cosines
+        mu = rng.standard_normal(p)
+        mu /= np.linalg.norm(mu)
+    else:
+        mu = np.asarray(model.direction, dtype=np.float64)
+    t = _fvml_cosines(n, p, float(model.kappa), rng)
+
+    def draw(k: int) -> np.ndarray:  # Gaussian rows projected orthogonal to mu
+        x = rng.standard_normal((k, p))
+        return x - np.outer(x @ mu, mu)
+
+    out[...] = draw(n)
+    return draw, (mu, t)
+
+
+def _sample_block(model: AlternativeModel, p: int, seeds, out: np.ndarray) -> None:
+    """Fill out[k] with unit rows of the model drawn from seeds[k]'s stream alone.
+
+    `out` is a C-contiguous (B, n, p) block.  Norms, zero-norm redraws and
+    rows whose norm overflows are handled once for the whole block, row by
+    row, so each sample has the bits it has in a block of one.
+    """
+    draws = [_draw_rows(model, p, seed, rows) for seed, rows in zip(seeds, out)]
+    # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
+    with np.errstate(over="ignore"):
+        _normalize_rows(out, [redraw for redraw, _ in draws], f"{model.kind} sampler")
+    for rows, (_, fvml) in zip(out, draws):
+        if fvml is not None:
+            mu, t = fvml
+            rows[...] = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * rows
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+
+
 def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -> SphericalSample:
     """Draw n rows from the model; one stream drives everything."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     _check_model_dimension(model, p)
-    rng = seed.generator()
-    if model.kind == "uniform":
-        draw = lambda k: rng.standard_normal((k, p))  # noqa: E731
-        rows = _normalize_rows(draw(n), draw, "uniform sampler")
-    elif model.kind == "alpha_spherical":
-        m = model.marginal
-        draw = lambda k: _draw_raw(m, k * p, rng).reshape(k, p)  # noqa: E731
-        # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
-        with np.errstate(over="ignore"):
-            rows = _normalize_rows(draw(n), draw, f"alpha-spherical sampler ({m.kind})")
-    else:
-        if model.direction is None:
-            # fresh direction per call, drawn ahead of the cosines
-            mu = rng.standard_normal(p)
-            mu /= np.linalg.norm(mu)
-        else:
-            mu = np.asarray(model.direction, dtype=np.float64)
-        t = _fvml_cosines(n, p, float(model.kappa), rng)
-
-        def draw(k: int) -> np.ndarray:  # Gaussian rows projected orthogonal to mu
-            x = rng.standard_normal((k, p))
-            return x - np.outer(x @ mu, mu)
-
-        xi = _normalize_rows(draw(n), draw, "FvML tangent sampler")
-        rows = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * xi
-        rows /= np.linalg.norm(rows, axis=1)[:, None]
-    return SphericalSample(n=n, p=p, rows=rows)
+    rows = np.empty((1, n, p))
+    _sample_block(model, p, [seed], rows)
+    return SphericalSample(n=n, p=p, rows=rows[0])

@@ -80,10 +80,13 @@ class TestArrays(NamedTuple):
 
 
 def pairwise_summary(sample: SphericalSample) -> PairwiseSummary:
-    """Reduce all row pairs i < j, one 256-row tile of the Gram matrix at a time."""
+    """Reduce all row pairs i < j, one 256-row tile of the Gram matrix at a time.
+
+    Tiles run on one thread per available CPU, with OpenBLAS pinned to one thread.
+    """
     if sample.n < 2:
         raise ValueError("pairwise statistics need n >= 2")
-    s1, s2, m = _kernels.pairwise_reduce(sample.rows)
+    s1, s2, m = _kernels.pairwise_reduce(sample.rows[None])[0].tolist()
     return PairwiseSummary(
         n=sample.n, p=sample.p, sum_inner=s1, sum_inner_sq=s2, max_abs_inner=m
     )

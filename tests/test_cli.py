@@ -230,6 +230,26 @@ class TestSizeTable:
         row = doc["rows"][0]
         assert set(row) == {"test", "n80_p40", "n100_p100", "n100_p120"}
 
+    def test_huge_thread_count_runs_one_worker_per_block(self, tmp_path, monkeypatch):
+        # --reps 3 is one block per cell, so the map runs it in the calling thread
+        from sphereuni import _parallel, experiments
+
+        resolved = []
+        real = experiments._resolve_workers
+
+        def record(threads, items=None):
+            resolved.append(real(threads, items))
+            return resolved[-1]
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(experiments, "_resolve_workers", record)
+        monkeypatch.setattr(_parallel.threading, "Thread", no_thread)
+        assert run_cli("size-table", "--reps", "3", "--threads", "1000000",
+                       "--out", str(tmp_path / "t.csv")) == 0
+        assert resolved == [1, 1, 1]  # one per cell of the default three scenarios
+
     def test_reproducible_apart_from_timestamp(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("size-table", "--reps", "2", "--seed", "9",
@@ -283,6 +303,15 @@ class TestDiagnose:
                        "--threads", "2", "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert abs(doc["metrics"]["packing_rate"] - doc["metrics"]["packing_rate_null"]) <= 0.05
+
+    def test_warning_is_one_line_without_source(self, capsys):
+        assert run_cli("diagnose", "independence", "--n", "40", "--p", "30",
+                       "--reps", "20", "--seed", "1") == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: independence diagnostic at p=30, n=40: the asymptotic regime "
+            "expects p well above (log n)^2 = 13.6"
+        ]
 
     def test_asymmetric_marginal_is_config_error(self, tmp_path):
         assert run_cli("diagnose", "rayleigh-blindness", "--marginal", "chisq1",

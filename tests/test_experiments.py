@@ -1,10 +1,12 @@
 import math
+import os
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from sphereuni import _kernels, experiments
+from sphereuni import _kernels, _parallel, experiments, sampling
 from sphereuni.experiments import (
     DiagnosticReport,
     ExperimentPlan,
@@ -199,17 +201,81 @@ class TestFvmlBlindness:
 
 class TestReplicationErrorAnnotation:
     def test_failure_names_replication(self, monkeypatch):
-        def failing(model, n, p, seed):
+        real = sampling._draw_rows
+
+        def failing(model, p, seed, out):
             if seed.replication_index == 0:
                 raise ValueError("synthetic sampler failure")
-            return sample_from_model(model, n, p, seed)
+            return real(model, p, seed, out)
 
-        monkeypatch.setattr(experiments, "sample_from_model", failing)
+        monkeypatch.setattr(sampling, "_draw_rows", failing)
         plan = ExperimentPlan(
             n=5, p=3, model=UNIFORM, replications=3, master_seed=1, tests=("rayleigh",),
         )
         with pytest.raises(RuntimeError, match="replication 0"):
             run_rejection_experiment(plan, threads=1)
+
+    def test_two_workers_name_the_lowest_failing_replication(self, monkeypatch):
+        # replication 20 (third block) fails at once, replication 9 (second block) later
+        real = sampling._draw_rows
+
+        def failing(model, p, seed, out):
+            if seed.replication_index == 9:
+                time.sleep(0.2)
+            if seed.replication_index in (9, 20):
+                raise ValueError("synthetic sampler failure")
+            return real(model, p, seed, out)
+
+        monkeypatch.setattr(sampling, "_draw_rows", failing)
+        plan = small_plan(n=5, p=3, replications=40)
+        assert experiments._block_size(5, 3) == 8
+        with pytest.raises(RuntimeError, match="replication 9 failed"):
+            run_rejection_experiment(plan, threads=2)
+
+    def test_failure_cancels_pending_blocks(self, monkeypatch):
+        real = sampling._draw_rows
+        drawn = []
+
+        def failing(model, p, seed, out):
+            if seed.replication_index == 0:
+                raise ValueError("synthetic sampler failure")
+            drawn.append(seed.replication_index)
+            time.sleep(0.002)
+            return real(model, p, seed, out)
+
+        monkeypatch.setattr(sampling, "_draw_rows", failing)
+        plan = small_plan(n=5, p=3, replications=400)  # 50 blocks of 8
+        with pytest.raises(RuntimeError, match="replication 0 failed"):
+            run_rejection_experiment(plan, threads=2)
+        # the block in flight on the other worker, and perhaps one more, still run
+        assert len(drawn) <= 4 * 8
+
+    def test_blas_thread_count_restored(self, monkeypatch):
+        calls = _parallel._openblas()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS thread calls are not available")
+        get, set_ = calls
+        real = sampling._draw_rows
+        seen = []
+
+        def spy(model, p, seed, out):
+            seen.append(get())
+            if seed.replication_index == 5:
+                raise ValueError("synthetic sampler failure")
+            return real(model, p, seed, out)
+
+        monkeypatch.setattr(sampling, "_draw_rows", spy)
+        before = get()
+        try:
+            set_(2)
+            run_rejection_experiment(small_plan(replications=5), threads=2)
+            assert get() == 2
+            with pytest.raises(RuntimeError, match="replication 5 failed"):
+                run_rejection_experiment(small_plan(replications=12), threads=2)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert set(seen) == {1}
 
 
 class TestEngine:
@@ -218,7 +284,7 @@ class TestEngine:
         [UNIFORM, AlternativeModel.alpha_spherical(CAUCHY), AlternativeModel.fvml(3.0)],
         ids=["uniform", "cauchy", "fvml"],
     )
-    @pytest.mark.parametrize("n, p", [(3, 5), (40, 20), (300, 8)])
+    @pytest.mark.parametrize("n, p", [(3, 5), (40, 20), (100, 100), (100, 120), (300, 8)])
     def test_matches_run_all_tests_bit_for_bit(self, model, n, p):
         # n=300 spans two kernel tiles; vectorized p-values must not drift
         reps, seed, offset = 5, 31, 7
@@ -238,20 +304,47 @@ class TestEngine:
         assert set(result.per_test) == {"rayleigh", "bingham"}
         assert result.per_test["bingham"].stat_sd > 0.0
 
-    def test_always_serial(self):
-        assert experiments._resolve_workers(0) == 1
-        assert experiments._resolve_workers(3) == 1
+    def test_worker_rule(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert experiments._resolve_workers(0) == cpus
+        assert experiments._resolve_workers(0, 1) == 1
+        assert experiments._resolve_workers(3, 13) == 3
+        assert experiments._resolve_workers(16, 5) == 5
+        assert experiments._resolve_workers(1_000_000, 1) == 1
         with pytest.raises(ValueError, match="threads must be >= 0"):
             experiments._resolve_workers(-1)
+        with pytest.raises(ValueError, match="threads must be >= 0"):
+            experiments._resolve_workers(-1, 5)
+
+    @pytest.mark.parametrize("model", [UNIFORM, AlternativeModel.alpha_spherical(CAUCHY)],
+                             ids=["uniform", "cauchy"])
+    @pytest.mark.parametrize("n, p", [(80, 40), (100, 120), (300, 8)])
+    def test_reductions_independent_of_workers_and_blocks(self, model, n, p):
+        # (300, 8) spans two kernel tiles and takes blocks of fewer than 8
+        b = experiments._block_size(n, p)
+        full = None
+        for reps in (100, 1, b - 1, b, b + 1):
+            if reps < 1:
+                continue
+            plan = ExperimentPlan(n=n, p=p, model=model, replications=reps, master_seed=13)
+            runs = [experiments._simulate(plan, threads=w)[0] for w in (1, 2, 3, 16)]
+            for run in runs:
+                got = np.stack([run.sum_inner, run.sum_inner_sq, run.max_abs_inner])
+                full = got if full is None else full
+                # replication i's reductions depend on i alone, not on R or the block split
+                np.testing.assert_array_equal(got.view(np.uint64), full[:, :reps].view(np.uint64))
 
     def test_nan_reduction_names_replication(self, monkeypatch):
         plan = small_plan(replications=12)
         target = sample_from_model(plan.model, plan.n, plan.p, SeedSpec(plan.master_seed, 7)).rows
         real = _kernels.pairwise_reduce
 
-        def poisoned(rows):
-            s1, s2, m = real(rows)
-            return (s1, s2, math.nan) if np.array_equal(rows, target) else (s1, s2, m)
+        def poisoned(stack, threads=0):
+            out = real(stack, threads)
+            for k, rows in enumerate(stack):
+                if np.array_equal(rows, target):
+                    out[k, 2] = math.nan
+            return out
 
         monkeypatch.setattr(_kernels, "pairwise_reduce", poisoned)
         with pytest.raises(RuntimeError, match="replication 7 failed"):

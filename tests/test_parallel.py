@@ -1,0 +1,90 @@
+import collections
+import sys
+import threading
+import time
+
+import pytest
+
+from sphereuni import _parallel
+
+
+def test_thread_map_runs_each_item_once_in_order_under_contention():
+    calls = collections.Counter()
+    threads = set()
+    in_use = set()
+    clashes = []
+    lock = threading.Lock()
+
+    def fn(x, workspace):
+        with lock:
+            if workspace in in_use:
+                clashes.append(workspace)
+            in_use.add(workspace)
+            calls[x] += 1
+            threads.add(threading.get_ident())
+        time.sleep(0)  # hand the interpreter to another worker mid-call
+        with lock:
+            in_use.discard(workspace)
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _parallel.thread_map(fn, range(2000), list(range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [x * x for x in range(2000)]
+    assert len(calls) == 2000 and set(calls.values()) == {1}
+    assert not clashes  # no workspace was held by two calls at once
+    assert len(threads) > 1
+
+
+def test_thread_map_with_one_workspace_runs_in_the_caller():
+    caller = threading.get_ident()
+    out = _parallel.thread_map(lambda x, w: (x, w, threading.get_ident()), [1, 2], ["w"])
+    assert out == [(1, "w", caller), (2, "w", caller)]
+
+
+def test_thread_map_stops_its_threads_when_one_cannot_start(monkeypatch):
+    real = threading.Thread
+    started = []
+
+    class Flaky(real):
+        def start(self):
+            if len(started) == 2:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    ran = []
+
+    def fn(x, workspace):
+        ran.append(x)
+        time.sleep(0.001)
+        return x
+
+    monkeypatch.setattr(_parallel.threading, "Thread", Flaky)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        _parallel.thread_map(fn, range(1000), list(range(5)))
+    assert len(started) == 2
+    assert not any(t.is_alive() for t in started)
+    assert len(ran) < 1000
+
+
+def test_blas_pin_restores_the_count_when_its_block_raises():
+    calls = _parallel._openblas()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread calls are not available")
+    get, set_ = calls
+    before = get()
+    try:
+        set_(2)
+        with pytest.raises(KeyError):
+            with _parallel.blas_pin:
+                with _parallel.blas_pin:  # nested: the outer block restores
+                    assert get() == 1
+                assert get() == 1
+                raise KeyError("synthetic")
+        assert get() == 2
+    finally:
+        set_(before)

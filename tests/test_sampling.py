@@ -10,6 +10,7 @@ from sphereuni.sampling import (
     SeedSpec,
     SphericalSample,
     _normalize_rows,
+    _sample_block,
     draw_marginal,
     sample_alpha_spherical,
     sample_from_model,
@@ -189,7 +190,30 @@ class TestAlphaSphericalSampler:
     def test_zero_norm_redraw_gives_up_after_100_attempts(self):
         raw = np.zeros((3, 2))
         with pytest.raises(RuntimeError, match="zero-norm"):
-            _normalize_rows(raw, lambda k: np.zeros((k, 2)), "broken marginal")
+            _normalize_rows(raw[None], [lambda k: np.zeros((k, 2))], "broken marginal")
+
+
+BLOCK_MODELS = {
+    "uniform": AlternativeModel.uniform(),
+    "cauchy": AlternativeModel.alpha_spherical(CAUCHY),
+    "t1.5": AlternativeModel.alpha_spherical(HeavyTailMarginal.student_t(1.5)),
+    "chisq1": AlternativeModel.alpha_spherical(HeavyTailMarginal.centered_chisq1()),
+    "t1e-5": AlternativeModel.alpha_spherical(HeavyTailMarginal.student_t(1e-5)),
+    "pareto1e-300": AlternativeModel.alpha_spherical(HeavyTailMarginal.pareto(1e-300)),
+    "fvml": AlternativeModel.fvml(2.5),
+}
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS.values(), ids=BLOCK_MODELS.keys())
+def test_block_rows_equal_samples_drawn_alone(model):
+    # the block normalizes all its rows at once; each sample must keep its own bits
+    n, p = 30, 12
+    seeds = [SeedSpec(41, i) for i in range(5)]
+    block = np.empty((len(seeds), n, p))
+    _sample_block(model, p, seeds, block)
+    for rows, seed in zip(block, seeds):
+        alone = sample_from_model(model, n, p, seed).rows
+        np.testing.assert_array_equal(rows.view(np.uint64), alone.view(np.uint64))
 
 
 class TestOverflowingRows:
@@ -203,8 +227,9 @@ class TestOverflowingRows:
             [0.5, -1e-310],
         ])
         kept = raw[[0, 5]] / np.linalg.norm(raw[[0, 5]], axis=1)[:, None]
+        rows = raw.copy()
         with np.errstate(over="ignore"):
-            rows = _normalize_rows(raw.copy(), None, "test rows")
+            _normalize_rows(rows[None], [None], "test rows")
         h = 1.0 / math.sqrt(2.0)
         np.testing.assert_array_equal(rows[[1, 2, 3, 4]], [[h, -h], [1.0, 0.0], [-h, h], [1.0, 1e-300]])
         # every row whose norm is finite keeps its bits

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from sphereuni import _kernels
+from sphereuni import _kernels, _parallel
 from sphereuni.oracles import brute_statistics, random_rotation
 from sphereuni.sampling import SeedSpec, SphericalSample, sample_uniform_sphere
 from sphereuni.stats import (
@@ -88,13 +88,31 @@ class TestPairwiseSummary:
         sum_inner_sq = (float(np.einsum("ij,ij->", g, g)) - n) / 2.0
         np.fill_diagonal(g, 0.0)
         want = ((float(s @ s) - n) / 2.0, sum_inner_sq, float(np.abs(g).max()))
-        assert _kernels.pairwise_reduce(rows) == want
+        assert tuple(_kernels.pairwise_reduce(rows[None])[0]) == want
 
     @pytest.mark.parametrize("n", [30, 300])
     def test_nan_in_last_tile_makes_max_nan(self, n):
         rows = sample_uniform_sphere(n, 5, SeedSpec(76)).rows.copy()
         rows[n - 1, 0] = np.nan
-        assert math.isnan(_kernels.pairwise_reduce(rows)[2])
+        assert math.isnan(_kernels.pairwise_reduce(rows[None])[0, 2])
+
+    @pytest.mark.parametrize("n, p", [(100, 120), (300, 8)])
+    def test_same_bits_whatever_the_blas_thread_count(self, n, p):
+        calls = _parallel._openblas()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS thread calls are not available")
+        get, set_ = calls
+        stack = np.stack([sample_uniform_sphere(n, p, SeedSpec(77, k)).rows for k in range(24)])
+        before = get()
+        results = []
+        try:
+            for count in (1, 2):
+                set_(count)
+                results.append(_kernels.pairwise_reduce(stack))
+                assert get() == count
+        finally:
+            set_(before)
+        np.testing.assert_array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
 
     def test_tiled_peak_memory(self):
         # the one-shot Gram matrix alone would take 2000^2 * 8 B = 32 MB
