@@ -3,18 +3,17 @@
 Reduces all row pairs i < j of each (n, p) sample in a (B, n, p) stack of
 unit rows to the sum of inner products, the sum of squared inner products
 and the largest absolute inner product.  One loop reduces the Gram
-matrices in row tiles rows[:, i:i+_TILE] @ rows[:, i:].T, so extra memory
-is O(B * _TILE * n), not O(B * n^2).  Up to _TILE rows the single tile is
-the whole Gram matrix.  The tiles run on the thread map and are combined
-in tile order, with OpenBLAS pinned to one thread, so the bits do not
-depend on the worker count or on the host's BLAS setting.
+matrices in row tiles rows[:, i:i+_TILE] @ rows[:, i:].T into one reused
+buffer, so extra memory is O(B * _TILE * n), not O(B * n^2).  Up to _TILE
+rows the single tile is the whole Gram matrix.  OpenBLAS is pinned to one
+thread, so the bits do not depend on the host's BLAS setting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._parallel import blas_pin, resolve_workers, thread_map
+from ._parallel import blas_pin
 
 __all__ = ["pairwise_reduce"]
 
@@ -22,50 +21,35 @@ __all__ = ["pairwise_reduce"]
 _TILE = 256
 
 
-def _reduce_tile(
-    stack: np.ndarray, i: int, space: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Row tile i of each sample, computed in `space`: sums of squares of its leading
-    block's pairs and of the rest of the tile (None when empty), and its max |g| off
-    the diagonal."""
-    rows = stack[:, i : i + _TILE]
-    b, width = rows.shape[1], stack.shape[1] - i
-    # a C-contiguous view: into a strided `out` the product rounds differently
-    tile = space[: len(stack) * b * width].reshape(len(stack), b, width)
-    np.matmul(rows, stack[:, i:].transpose(0, 2, 1), out=tile)
-    # the leading b x b block is symmetric with a unit diagonal: its pairs give (sum - b) / 2;
-    # einsum runs sample by sample, since over a stack it sums in chunks, in another order
-    head = np.array([(float(np.einsum("ij,ij->", g[:, :b], g[:, :b])) - b) / 2.0 for g in tile])
-    rest = None
-    if b < width:
-        rest = np.array([float(np.einsum("ij,ij->", g[:, b:], g[:, b:])) for g in tile])
-    tile.reshape(len(tile), -1)[:, :: width + 1] = 0.0  # each leading block's diagonal
-    return head, rest, np.abs(tile, out=tile).max(axis=(1, 2))
-
-
-def pairwise_reduce(stack: np.ndarray, threads: int = 0) -> np.ndarray:
+def pairwise_reduce(stack: np.ndarray) -> np.ndarray:
     """(sum, sum of squares, max abs) of inner products over row pairs i < j,
-    one row of the (B, 3) result per sample of the (B, n, p) stack.
-
-    `threads` sets the workers of the tile map, as for the replication engine.
-    """
-    n = stack.shape[1]
+    one row of the (B, 3) result per sample of the (B, n, p) stack."""
+    count, n = stack.shape[:2]
+    out = np.empty((count, 3))
+    space = np.empty(count * min(n, _TILE) * n)  # one tile per sample; the first is the widest
+    sum_sq, max_abs = 0.0, 0.0
     with blas_pin:
         s = stack.sum(axis=1)
-        out = np.empty((len(stack), 3))
         out[:, 0] = ((s[:, None, :] @ s[:, :, None])[:, 0, 0] - n) / 2.0
-        starts = range(0, n, _TILE)
-        # one tile's worth of memory per worker; the first tile is the widest
-        size = len(stack) * min(n, _TILE) * n
-        spaces = [np.empty(size) for _ in range(resolve_workers(threads, len(starts)))]
-        tiles = thread_map(lambda i, space: _reduce_tile(stack, i, space), starts, spaces)
-    sum_sq, max_abs = 0.0, 0.0
-    for head, rest, tile_max in tiles:  # in tile order, as one serial loop adds them
-        sum_sq = sum_sq + head
-        if rest is not None:
-            sum_sq = sum_sq + rest
-        # np.maximum, unlike the builtin max, propagates a NaN from any tile
-        max_abs = np.maximum(max_abs, tile_max)
+        for i in range(0, n, _TILE):
+            rows = stack[:, i : i + _TILE]
+            b, width = rows.shape[1], n - i
+            # a C-contiguous view: into a strided `out` the product rounds differently
+            tile = space[: count * b * width].reshape(count, b, width)
+            np.matmul(rows, stack[:, i:].transpose(0, 2, 1), out=tile)
+            # the leading b x b block is symmetric with a unit diagonal: its pairs give
+            # (sum - b) / 2; einsum runs sample by sample, since over a stack it sums in
+            # chunks, in another order
+            sum_sq = sum_sq + np.array(
+                [(float(np.einsum("ij,ij->", g[:, :b], g[:, :b])) - b) / 2.0 for g in tile]
+            )
+            if b < width:
+                sum_sq = sum_sq + np.array(
+                    [float(np.einsum("ij,ij->", g[:, b:], g[:, b:])) for g in tile]
+                )
+            tile.reshape(count, -1)[:, :: width + 1] = 0.0  # each leading block's diagonal
+            # np.maximum, unlike the builtin max, propagates a NaN from any tile
+            max_abs = np.maximum(max_abs, np.abs(tile, out=tile).max(axis=(1, 2)))
     out[:, 1] = sum_sq
     out[:, 2] = max_abs
     return out

@@ -1,9 +1,8 @@
 """One ordered thread map and one process-wide OpenBLAS pin.
 
-The replication engine maps blocks of replications, and the pairwise
-kernel maps Gram tiles, over threads.  numpy releases the interpreter
-lock inside BLAS, the random generators and ufunc loops over large
-arrays, so the threads overlap that native work.
+The replication engine maps blocks of replications over threads.  numpy
+releases the interpreter lock inside BLAS, the random generators and
+ufunc loops over large arrays, so the threads overlap that native work.
 
 While any kernel call runs, numpy's bundled OpenBLAS is pinned to one
 thread.  Each of our threads issues its own small matrix products, which

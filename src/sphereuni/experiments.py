@@ -148,17 +148,18 @@ def _simulate(
             _sample_block(plan.model, p, seeds, block)
             if not (_norm_deviation(block) <= UNIT_NORM_TOL).all():  # also catches NaN rows
                 raise RuntimeError("row norms deviate from 1")
-        except Exception:
+        except Exception as exc:
             # a sample drawn alone has the bits it has in the block, so it fails alone too
             for seed in seeds:
                 try:
                     sample_from_model(plan.model, n, p, seed)
-                except Exception as exc:
+                except Exception as alone:
                     raise RuntimeError(
-                        f"replication {seed.replication_index} failed: {exc}"
-                    ) from exc
-            raise
-        reductions[start : start + len(block)] = _kernels.pairwise_reduce(block, threads=1)
+                        f"replication {seed.replication_index} failed: {alone}"
+                    ) from alone
+            first, last = seeds[0].replication_index, seeds[-1].replication_index
+            raise RuntimeError(f"replications {first}..{last} failed: {exc}") from exc
+        reductions[start : start + len(block)] = _kernels.pairwise_reduce(block)
 
     starts = range(0, reps, size)
     blocks = [np.empty((size, n, p)) for _ in range(_resolve_workers(threads, len(starts)))]

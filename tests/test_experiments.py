@@ -250,6 +250,17 @@ class TestReplicationErrorAnnotation:
         # the block in flight on the other worker, and perhaps one more, still run
         assert len(drawn) <= 4 * 8
 
+    def test_block_failure_no_sample_repeats_stays_runtime_error(self, monkeypatch):
+        # every sample draws fine alone, so no replication can be named: the block's
+        # failure must still not look like a usage error (ValueError)
+        def failing(model, p, seeds, out):
+            raise ValueError("synthetic block failure")
+
+        monkeypatch.setattr(experiments, "_sample_block", failing)
+        plan = small_plan(n=5, p=3, replications=12)
+        with pytest.raises(RuntimeError, match=r"replications 0\.\.7 failed: synthetic block"):
+            run_rejection_experiment(plan, threads=1)
+
     def test_blas_thread_count_restored(self, monkeypatch):
         calls = _parallel._openblas()
         if calls is None:
@@ -339,8 +350,8 @@ class TestEngine:
         target = sample_from_model(plan.model, plan.n, plan.p, SeedSpec(plan.master_seed, 7)).rows
         real = _kernels.pairwise_reduce
 
-        def poisoned(stack, threads=0):
-            out = real(stack, threads)
+        def poisoned(stack):
+            out = real(stack)
             for k, rows in enumerate(stack):
                 if np.array_equal(rows, target):
                     out[k, 2] = math.nan

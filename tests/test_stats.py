@@ -114,8 +114,10 @@ class TestPairwiseSummary:
             set_(before)
         np.testing.assert_array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
 
-    def test_tiled_peak_memory(self):
-        # the one-shot Gram matrix alone would take 2000^2 * 8 B = 32 MB
+    def test_tiled_peak_memory(self, monkeypatch):
+        # the one-shot Gram matrix alone would take 2000^2 * 8 B = 32 MB; one sample's
+        # extra memory is one 256-row tile however many CPUs there are
+        monkeypatch.setattr(_parallel, "_available_cpus", lambda: 64)
         sample = sample_uniform_sphere(2000, 100, SeedSpec(74))
         tracemalloc.start()
         try:
