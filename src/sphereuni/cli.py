@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
 import traceback
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -46,6 +47,7 @@ from .sampling import (
     HeavyTailMarginal,
     SeedSpec,
     SphericalSample,
+    _row_norms,
     sample_from_model,
 )
 from .stats import run_all_tests
@@ -174,8 +176,11 @@ def _timestamp() -> str:
 def _write_text(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:  # a missing directory, or a directory named as the file
+        raise CliError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _write_csv(out: str | None, config: dict, lines: Iterable[str], generated: bool = True) -> None:
@@ -255,46 +260,95 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _data_lines(texts: Iterable[str], linenos: list[int]) -> Iterator[str]:
+    """The data lines of `texts`, stripped, appending each one's file row to `linenos`.
+
+    `texts` is a file's lines or a whole text; each is split again with
+    str.splitlines, so every line end it knows ends a row.  Blank lines and
+    lines starting with ``#`` are skipped; the first remaining line is a
+    header, and skipped too, when one of its cells is not a number.
+    """
+    lineno = 0
+    first = True
+    for text in texts:
+        for line in text.splitlines():
+            lineno += 1
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if first:
+                first = False
+                if not all(_is_number(cell) for cell in stripped.split(",")):
+                    continue  # header line
+            linenos.append(lineno)
+            yield stripped
+
+
+def _stream_table(path: str) -> tuple[np.ndarray, list[int]]:
+    """The file's data rows and their file rows, read one line at a time into
+    numpy's C reader.
+
+    Raises ValueError where the C reader refuses a line, and
+    UnicodeDecodeError, also a ValueError, where the file is not UTF-8.
+    """
+    linenos: list[int] = []
+    with open(path, encoding="utf-8-sig") as f:
+        lines = _data_lines(f, linenos)
+        first = next(lines, None)
+        if first is None:
+            return np.empty((0, 0)), linenos  # np.loadtxt warns on empty input
+        table = itertools.chain([first], lines)
+        return np.loadtxt(table, delimiter=",", comments=None, dtype=np.float64, ndmin=2), linenos
+
+
+def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
+    """The rows and file rows of `_stream_table`, from the whole text at once and
+    through `_parse_table`, whose errors name the file row and column."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read input file {path}: {exc}") from exc
+    linenos: list[int] = []
+    lines = list(_data_lines([text], linenos))
+    return _parse_table(lines, linenos, path), linenos
+
+
 def load_data_csv(path: str) -> SphericalSample:
     """Read an observations-by-rows CSV, normalizing near-unit rows.
 
     Blank lines and lines starting with ``#`` are skipped; the first
     remaining line is a header, and dropped, when one of its cells is not
-    a number.  Errors name the file row.
+    a number.  A UTF-8 byte-order mark is dropped.  Errors name the file
+    row.  Besides the rows, the extra memory is a list of row numbers and a
+    fixed scratch buffer.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data, linenos = _stream_table(path)
+    except OSError as exc:
         raise CliError(f"cannot read input file {path}: {exc}") from exc
-
-    lines: list[str] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append(stripped)
-            linenos.append(lineno)
-    if lines and not all(_is_number(cell) for cell in lines[0].split(",")):
-        del lines[0], linenos[0]  # header line
-
-    data = _parse_table(lines, linenos, path)
+    except ValueError:
+        # a line the C reader refuses, or bytes that are not UTF-8: read the whole
+        # text again, so the error names its row and column, or its byte offset
+        data, linenos = _read_table(path)
     if len(data) < 3:
         raise CliError(f"{path}: need at least 3 observations, found {len(data)}")
-    if not np.isfinite(data).all():
-        r, c = np.argwhere(~np.isfinite(data))[0]
+    # scale each row by its largest |x| first, so norms of finite rows
+    # neither overflow (1e200) nor underflow to zero (1e-200); max |x| with no
+    # n x p temporary, and not finite exactly where the row holds inf or NaN
+    scale = np.maximum(data.max(axis=1), -data.min(axis=1))
+    if not np.isfinite(scale).all():
+        r = int(np.flatnonzero(~np.isfinite(scale))[0])
+        c = int(np.flatnonzero(~np.isfinite(data[r]))[0])
         raise CliError(
             f"{path}: non-finite value {data[r, c]} at row {linenos[r]}, column {c + 1}"
         )
-    # scale each row by its largest |x| first, so norms of finite rows
-    # neither overflow (1e200) nor underflow to zero (1e-200)
-    scale = np.maximum(data.max(axis=1), -data.min(axis=1))  # max |x| with no n x p temporary
     if np.any(scale == 0.0):
         bad = int(np.flatnonzero(scale == 0.0)[0])
         raise CliError(
             f"{path}: observation {bad + 1} is a zero vector (row {linenos[bad]})"
         )
-    data = data / scale[:, None]
-    norms = np.linalg.norm(data, axis=1)
+    data /= scale[:, None]
+    norms = _row_norms(data)
     with np.errstate(over="ignore"):
         deviation = np.abs(scale * norms - 1.0).max()
     if deviation > NORMALIZE_NOTICE_TOL:
@@ -371,6 +425,8 @@ def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:
 
 def cmd_test(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if not 0.0 < config["level"] < 1.0:  # before the data are read
+        raise CliError("level must lie in (0, 1)")
     sample = load_data_csv(args.input)
     try:
         outcomes = run_all_tests(sample, config["level"])

@@ -35,6 +35,9 @@ UNIT_NORM_TOL = 1e-12
 # attempts before a run of zero-norm raw vectors is treated as a broken marginal
 _MAX_RENORM_ATTEMPTS = 100
 
+# floats of scratch that _row_norms squares a chunk of rows into
+_NORM_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -58,9 +61,25 @@ class SeedSpec:
         return np.random.default_rng(ss)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows along the last axis, with the bits of
+    ``np.linalg.norm(rows, axis=-1)`` but no temporary of the size of `rows`:
+    chunks of rows are squared into one scratch buffer of at most
+    max(_NORM_CHUNK, p) floats, and each row sums as it does in one call."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    norms = np.empty(len(flat))
+    step = max(1, _NORM_CHUNK // max(1, flat.shape[1]))
+    scratch = np.empty((min(step, len(flat)), flat.shape[1]))
+    for i in range(0, len(flat), step):
+        chunk = flat[i : i + step]
+        squares = np.multiply(chunk, chunk, out=scratch[: len(chunk)])
+        np.add.reduce(squares, axis=1, out=norms[i : i + len(chunk)])
+    return np.sqrt(norms, out=norms).reshape(rows.shape[:-1])
+
+
 def _norm_deviation(rows: np.ndarray) -> np.ndarray:
     """Largest | ||x|| - 1 | over the rows x of each (n, p) sample in `rows`; NaN rows give NaN."""
-    return np.abs(np.linalg.norm(rows, axis=-1) - 1.0).max(axis=-1)
+    return np.abs(_row_norms(rows) - 1.0).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -199,7 +218,7 @@ def _normalize_rows(raw: np.ndarray, redraws, what: str) -> None:
     keeps its bits.  Callers whose draws can overflow run this under
     ``np.errstate(over="ignore")``.
     """
-    norms = np.linalg.norm(raw, axis=-1)
+    norms = _row_norms(raw)
     for k in np.flatnonzero((norms == 0.0).any(axis=1)):
         rows, row_norms = raw[k], norms[k]
         bad = np.flatnonzero(row_norms == 0.0)
@@ -380,7 +399,7 @@ def _sample_block(model: AlternativeModel, p: int, seeds, out: np.ndarray) -> No
         if fvml is not None:
             mu, t = fvml
             rows[...] = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * rows
-            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            rows /= _row_norms(rows)[:, None]
 
 
 def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -> SphericalSample:

@@ -80,9 +80,10 @@ class TestArrays(NamedTuple):
 
 
 def pairwise_summary(sample: SphericalSample) -> PairwiseSummary:
-    """Reduce all row pairs i < j, one 256-row tile of the Gram matrix at a time.
+    """Reduce all row pairs i < j, one chunk of at most 256 x 1024 Gram entries at a time.
 
-    Tiles run on one thread per available CPU, with OpenBLAS pinned to one thread.
+    The chunks run one after another in the calling thread, with OpenBLAS
+    pinned to one thread.
     """
     if sample.n < 2:
         raise ValueError("pairwise statistics need n >= 2")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from sphereuni.cli import (
     parse_marginal,
     parse_scenarios,
 )
+from sphereuni.sampling import SeedSpec, sample_uniform_sphere
+from sphereuni.stats import run_all_tests
 
 
 def run_cli(*argv):
@@ -195,6 +198,47 @@ class TestTestCommand:
         assert run_cli("test", str(data)) == 2
         assert "cannot read input file" in capsys.readouterr().err
 
+    def test_invalid_utf8_late_in_the_file_names_its_file_offset(self, tmp_path, capsys):
+        # the file is read line by line, but the error still counts bytes from its start
+        data = tmp_path / "late.csv"
+        data.write_bytes(b"1.0,0.0\n" * 5000 + b"0.6,0.8\xe9\n")
+        assert run_cli("test", str(data)) == 2
+        assert "can't decode byte 0xe9 in position 40007" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, n",
+        [
+            (b"1,0\n0,1\n1,1\n-1,0\n", 4),
+            (b"x,y\n1,0\n0,1\n1,1\n", 3),  # the header is still found and dropped
+            (b"1,0\n0,1\n1_0,0\n-1,0\n", 4),  # the C reader refuses 1_0: the whole-text path
+        ],
+        ids=["rows", "header", "whole-text"],
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, body, n):
+        # with the mark the first data row read as a header and was lost
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + body)
+        assert load_data_csv(str(data)).n == n
+
+    def test_bad_level_refused_before_the_data_are_read(self, tmp_path, capsys):
+        assert run_cli("test", str(tmp_path / "missing.csv"), "--level", "1.5") == 2
+        err = capsys.readouterr().err
+        assert "level must lie in (0, 1)" in err and "cannot read" not in err
+
+    def test_load_and_tests_peak_memory(self, tmp_path):
+        # the rows take 4000 * 100 * 8 B = 3.2 MB; the file text, its list of lines,
+        # full-size normalization copies or a 256 x 4000 Gram tile would each add as much
+        rows = sample_uniform_sphere(4000, 100, SeedSpec(78)).rows
+        data = tmp_path / "large.csv"
+        np.savetxt(data, rows, fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            run_all_tests(load_data_csv(str(data)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_csv_output_shape(self, tmp_path, capsys):
         data = tmp_path / "u.csv"
         run_cli("sample", "--model", "uniform", "--n", "30", "--p", "10",
@@ -204,6 +248,29 @@ class TestTestCommand:
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert body[0] == "test,statistic,p_value,reject,level"
         assert len(body) == 5
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("test", "{data}"),
+            ("sample", "--n", "3", "--p", "2"),
+            ("size-table", "--reps", "1", "--scenarios", "5x3"),
+            ("power-table", "--reps", "1", "--scenarios", "5x3"),
+            ("diagnose", "packing-lln", "--n", "5", "--p", "3", "--reps", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, argv, out):
+        data = tmp_path / "d.csv"
+        data.write_text("1,0\n0,1\n1,1\n")
+        argv = [arg.format(data=data) for arg in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write output file {tmp_path / out}" in err
+        assert "Traceback" not in err
 
 
 class TestSizeTable:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from sphereuni.sampling import (
     SeedSpec,
     SphericalSample,
     _normalize_rows,
+    _row_norms,
     _sample_block,
     draw_marginal,
     sample_alpha_spherical,
@@ -61,6 +63,28 @@ class TestSphericalSample:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             SphericalSample(n=2, p=2, rows=np.eye(3))
+
+
+class TestRowNorms:
+    # shapes of one chunk, several chunks, rows wider than a chunk, and blocks of samples
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 2), (80, 40), (100, 120), (8, 100, 120),
+                                       (4000, 100), (3, 40000), (33000, 1), (5, 200, 17)])
+    def test_same_bits_as_linalg_norm(self, shape):
+        rng = np.random.default_rng(82)
+        rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+        np.testing.assert_array_equal(
+            _row_norms(rows).view(np.uint64), np.linalg.norm(rows, axis=-1).view(np.uint64)
+        )
+
+    def test_no_temporary_of_the_input_size(self):
+        rows = np.random.default_rng(83).standard_normal((4000, 100))  # 3.2 MB
+        tracemalloc.start()
+        try:
+            _row_norms(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestUniformSampler:

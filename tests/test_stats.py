@@ -29,6 +29,34 @@ def basis_rows(p):
     return SphericalSample.from_rows(np.eye(2, p))
 
 
+def full_width_tiles_reduce(stack):
+    """The kernel before tiles were cut into column chunks: each 256-row tile
+    spans every later column.  Kept as the oracle for n <= _kernels._CHUNK."""
+    count, n = stack.shape[:2]
+    out = np.empty((count, 3))
+    sum_sq, max_abs = 0.0, 0.0
+    with _parallel.blas_pin:
+        s = stack.sum(axis=1)
+        out[:, 0] = ((s[:, None, :] @ s[:, :, None])[:, 0, 0] - n) / 2.0
+        for i in range(0, n, 256):
+            rows = stack[:, i : i + 256]
+            b, width = rows.shape[1], n - i
+            tile = np.empty((count, b, width))
+            np.matmul(rows, stack[:, i:].transpose(0, 2, 1), out=tile)
+            sum_sq = sum_sq + np.array(
+                [(float(np.einsum("ij,ij->", g[:, :b], g[:, :b])) - b) / 2.0 for g in tile]
+            )
+            if b < width:
+                sum_sq = sum_sq + np.array(
+                    [float(np.einsum("ij,ij->", g[:, b:], g[:, b:])) for g in tile]
+                )
+            tile.reshape(count, -1)[:, :: width + 1] = 0.0
+            max_abs = np.maximum(max_abs, np.abs(tile, out=tile).max(axis=(1, 2)))
+    out[:, 1] = sum_sq
+    out[:, 2] = max_abs
+    return out
+
+
 class TestPairwiseSummary:
     def test_two_identical_rows(self):
         s = pairwise_summary(identical_rows(2, 3))
@@ -113,6 +141,35 @@ class TestPairwiseSummary:
         finally:
             set_(before)
         np.testing.assert_array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
+
+    # up to n = _CHUNK a tile is one chunk, with the operations of the full-width tiles
+    @pytest.mark.parametrize("n, p", [(3, 5), (80, 40), (100, 120), (257, 100), (513, 20),
+                                      (1024, 50)])
+    def test_matches_full_width_tiles_bit_for_bit_up_to_one_chunk(self, n, p):
+        stack = np.stack([sample_uniform_sphere(n, p, SeedSpec(79, k)).rows for k in range(2)])
+        got = _kernels.pairwise_reduce(stack)
+        want = full_width_tiles_reduce(stack)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n, p", [(1025, 50), (1300, 10), (2100, 3)])
+    def test_column_chunks_match_brute_force(self, n, p):
+        sample = sample_uniform_sphere(n, p, SeedSpec(80, n))
+        summary = pairwise_summary(sample)
+        fast = (rayleigh_statistic(summary), bingham_statistic(summary),
+                packing_statistic(summary))
+        for got, want in zip(fast, brute_statistics(sample)):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_chunked_tile_peak_memory(self):
+        # a full-width 256 x 6000 tile alone would take 12.3 MB; a chunk takes 2 MiB
+        sample = sample_uniform_sphere(6000, 20, SeedSpec(81))
+        tracemalloc.start()
+        try:
+            pairwise_summary(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_tiled_peak_memory(self, monkeypatch):
         # the one-shot Gram matrix alone would take 2000^2 * 8 B = 32 MB; one sample's
