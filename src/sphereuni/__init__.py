@@ -1,8 +1,9 @@
 """Uniformity testing on high-dimensional spheres.
 
 Three tests (mean-direction, axial, smallest-angle packing), their
-Fisher-style combination, samplers for the null and the heavy-tailed /
-FvML alternatives, and a reproducible Monte Carlo harness.
+min-p combination (Tippett's rule with a Sidak cutoff), samplers for the
+null and the heavy-tailed / FvML alternatives, and a reproducible Monte
+Carlo harness.
 """
 
 from .experiments import (

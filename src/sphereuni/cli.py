@@ -134,7 +134,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     Each value is the flag if given, else the config-file value through
     the row's converter, else the default.  Flags arrive typed from
     argparse; a config value of the wrong type is a config error naming
-    its key.  A null config value counts as unset.
+    its key.  A null config value counts as unset.  An unwritable `--out`
+    is refused here, before the command does any work.
     """
     config_file = _load_config(args.config)
     config = {"command": args.command}
@@ -156,7 +157,24 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                     f"config key {option.name!r}: bad value {value!r} ({exc})"
                 ) from exc
         config[option.name] = value
+    _check_out(args.out)
     return config
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an `--out` that cannot name a file before the command does any work:
+    a directory, or a path whose parent is not a directory.  `_write_text`
+    still reports what this cannot see, such as a read-only directory."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        reason = "is a directory"
+    elif not path.parent.is_dir():
+        reason = f"{path.parent} is not a directory"
+    else:
+        return
+    raise CliError(f"cannot write output file {out}: {reason}")
 
 
 def _insert_after(config: dict, key: str, **fields) -> dict:
@@ -231,9 +249,8 @@ def _parse_table(lines: list[str], linenos: list[int], path: str) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
         pass
-    rows: list[list[float]] = []
-    width: int | None = None
-    for line, lineno in zip(lines, linenos):
+    table: np.ndarray | None = None  # sized by the first row's width
+    for i, (line, lineno) in enumerate(zip(lines, linenos)):
         parsed: list[float] = []
         for col, cell in enumerate((c.strip() for c in line.split(",")), start=1):
             try:
@@ -242,14 +259,14 @@ def _parse_table(lines: list[str], linenos: list[int], path: str) -> np.ndarray:
                 raise CliError(
                     f"{path}: non-numeric value {cell!r} at row {lineno}, column {col}"
                 ) from None
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
+        if table is None:
+            table = np.empty((len(lines), len(parsed)))
+        elif len(parsed) != table.shape[1]:
             raise CliError(
-                f"{path}: row {lineno} has {len(parsed)} columns, expected {width}"
+                f"{path}: row {lineno} has {len(parsed)} columns, expected {table.shape[1]}"
             )
-        rows.append(parsed)
-    return np.array(rows, dtype=np.float64)
+        table[i] = parsed
+    return table
 
 
 def _is_number(cell: str) -> bool:

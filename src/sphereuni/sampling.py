@@ -32,9 +32,6 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 
-# attempts before a run of zero-norm raw vectors is treated as a broken marginal
-_MAX_RENORM_ATTEMPTS = 100
-
 # floats of scratch that _row_norms squares a chunk of rows into
 _NORM_CHUNK = 1 << 15
 
@@ -204,13 +201,11 @@ class AlternativeModel:
         return cls("fvml", kappa=float(kappa), direction=direction)
 
 
-def _normalize_rows(raw: np.ndarray, redraws, what: str) -> None:
+def _normalize_rows(raw: np.ndarray, what: str) -> None:
     """Project the rows of each sample in a (B, n, p) block to unit norm, in place.
 
-    A zero-norm row of sample k is redrawn by redraws[k](count), which draws
-    `count` fresh raw rows from that sample's stream.  Zero norms have
-    probability zero for continuous marginals; a hard cap turns a broken
-    generator into a diagnosable error rather than a hang.
+    A zero-norm row raises RuntimeError: it has probability zero for the
+    continuous laws sampled here, so it means a broken generator.
     A row whose norm overflows (a tiny tail parameter draws coordinates
     near or at inf) is first replaced by its direction, the limit of
     x/||x||: divided by its largest |x| when its coordinates are finite,
@@ -219,19 +214,8 @@ def _normalize_rows(raw: np.ndarray, redraws, what: str) -> None:
     ``np.errstate(over="ignore")``.
     """
     norms = _row_norms(raw)
-    for k in np.flatnonzero((norms == 0.0).any(axis=1)):
-        rows, row_norms = raw[k], norms[k]
-        bad = np.flatnonzero(row_norms == 0.0)
-        attempts = 0
-        while bad.size:
-            attempts += 1
-            if attempts > _MAX_RENORM_ATTEMPTS:
-                raise RuntimeError(
-                    f"{what}: {_MAX_RENORM_ATTEMPTS} consecutive zero-norm draws"
-                )
-            rows[bad] = redraws[k](bad.size)
-            row_norms[bad] = np.linalg.norm(rows[bad], axis=1)
-            bad = bad[row_norms[bad] == 0.0]
+    if (norms == 0.0).any():
+        raise RuntimeError(f"{what}: drew a zero-norm row")
     huge = np.isinf(norms)
     if huge.any():
         x = raw[huge]
@@ -240,7 +224,7 @@ def _normalize_rows(raw: np.ndarray, redraws, what: str) -> None:
         x[has_inf] = np.where(inf[has_inf], np.sign(x[has_inf]), 0.0)
         x[~has_inf] /= np.abs(x[~has_inf]).max(axis=1, keepdims=True)
         raw[huge] = x
-        norms[huge] = np.linalg.norm(x, axis=1)
+        norms[huge] = _row_norms(x)
     raw /= norms[..., None]
 
 
@@ -355,19 +339,17 @@ def _check_model_dimension(model: AlternativeModel, p: int) -> None:
 def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray):
     """Draw one sample's raw rows into `out`, an (n, p) array, from `seed`'s stream.
 
-    Returns the call that draws k more raw rows from the same stream and,
-    for FvML, the (direction, cosines) the unit tangent rows are combined with.
+    Returns, for FvML, the (direction, cosines) the unit tangent rows are
+    combined with, and None for the other models.
     """
     rng = seed.generator()
     n = out.shape[0]
     if model.kind == "uniform":
         rng.standard_normal(out=out)
-        return (lambda k: rng.standard_normal((k, p))), None
+        return None
     if model.kind == "alpha_spherical":
-        m = model.marginal
-        draw = lambda k: _draw_raw(m, k * p, rng).reshape(k, p)  # noqa: E731
-        out[...] = draw(n)
-        return draw, None
+        out[...] = _draw_raw(model.marginal, n * p, rng).reshape(n, p)
+        return None
     if model.direction is None:
         # fresh direction per sample, drawn ahead of the cosines
         mu = rng.standard_normal(p)
@@ -375,29 +357,25 @@ def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray)
     else:
         mu = np.asarray(model.direction, dtype=np.float64)
     t = _fvml_cosines(n, p, float(model.kappa), rng)
-
-    def draw(k: int) -> np.ndarray:  # Gaussian rows projected orthogonal to mu
-        x = rng.standard_normal((k, p))
-        return x - np.outer(x @ mu, mu)
-
-    out[...] = draw(n)
-    return draw, (mu, t)
+    x = rng.standard_normal((n, p))  # Gaussian rows projected orthogonal to mu
+    out[...] = x - np.outer(x @ mu, mu)
+    return mu, t
 
 
 def _sample_block(model: AlternativeModel, p: int, seeds, out: np.ndarray) -> None:
     """Fill out[k] with unit rows of the model drawn from seeds[k]'s stream alone.
 
-    `out` is a C-contiguous (B, n, p) block.  Norms, zero-norm redraws and
+    `out` is a C-contiguous (B, n, p) block.  Norms, zero-norm rows and
     rows whose norm overflows are handled once for the whole block, row by
     row, so each sample has the bits it has in a block of one.
     """
-    draws = [_draw_rows(model, p, seed, rows) for seed, rows in zip(seeds, out)]
+    fvml = [_draw_rows(model, p, seed, rows) for seed, rows in zip(seeds, out)]
     # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
     with np.errstate(over="ignore"):
-        _normalize_rows(out, [redraw for redraw, _ in draws], f"{model.kind} sampler")
-    for rows, (_, fvml) in zip(out, draws):
-        if fvml is not None:
-            mu, t = fvml
+        _normalize_rows(out, f"{model.kind} sampler")
+    for rows, tangent in zip(out, fvml):
+        if tangent is not None:
+            mu, t = tangent
             rows[...] = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * rows
             rows /= _row_norms(rows)[:, None]
 

@@ -1,4 +1,4 @@
-"""The three uniformity statistics and their Fisher-style combination.
+"""The three uniformity statistics and their min-p combination.
 
 For a sample X_1..X_n on S^{p-1} with pairwise inner products g_ij:
 
@@ -8,7 +8,9 @@ For a sample X_1..X_n on S^{p-1} with pairwise inner products g_ij:
 
 All three reject in the upper tail.  The combination test rejects when
 the smallest of the three upper-tail p-values drops below
-1 - (1-level)^(1/3), which is level-exact under asymptotic independence.
+1 - (1-level)^(1/3), which is level-exact under asymptotic independence:
+Tippett's min-p rule with a Sidak cutoff.  It keeps the name "fisher" in
+its outputs.
 
 The statistics work elementwise on a PairwiseSummary whose reductions are
 floats (one sample) or (R,) arrays (R Monte Carlo replications), and
@@ -147,7 +149,9 @@ def fisher_combination(
 
     Rejects when min(p) <= 1 - (1-level)^(1/3).  The reported p-value is
     1 - (1-min)^3, the Sidak-style transform that makes "p <= level"
-    equivalent to the threshold rule.
+    equivalent to the threshold rule.  This is Tippett's min-p rule, not
+    Fisher's -2 * sum(log p); the name and the "fisher" test label are kept
+    so that artifacts stay stable.
     """
     ps = (float(p_rayleigh), float(p_bingham), float(p_packing))
     for q in ps:

@@ -251,6 +251,15 @@ class TestTestCommand:
 
 
 class TestOutputFile:
+    # the call in cli that does each command's work
+    WORK = {
+        "test": "load_data_csv",
+        "sample": "sample_from_model",
+        "size-table": "run_rejection_experiment",
+        "power-table": "run_rejection_experiment",
+        "diagnose": "run_packing_lln_diagnostic",
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -263,7 +272,15 @@ class TestOutputFile:
         ids=lambda argv: argv[0],
     )
     @pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["missing-dir", "directory"])
-    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, argv, out):
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, monkeypatch, argv, out):
+        # the path is refused before the command's work: that work, here one that
+        # raises, never runs
+        import sphereuni.cli as cli_mod
+
+        def work(*args, **kwargs):
+            raise AssertionError("the command ran before checking --out")
+
+        monkeypatch.setattr(cli_mod, self.WORK[argv[0]], work)
         data = tmp_path / "d.csv"
         data.write_text("1,0\n0,1\n1,1\n")
         argv = [arg.format(data=data) for arg in argv]
@@ -425,6 +442,24 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "run_all_tests", boom)
         assert run_cli("test", str(data)) == 1
+
+    def test_zero_norm_draw_is_exit_1(self, monkeypatch, capsys):
+        # a generator that draws a zero row is broken: an internal error, not a usage one
+        from sphereuni import sampling
+
+        real = sampling._draw_rows
+
+        def zero_row(model, p, seed, out):
+            tangent = real(model, p, seed, out)
+            if seed.replication_index == 1:
+                out[0] = 0.0
+            return tangent
+
+        monkeypatch.setattr(sampling, "_draw_rows", zero_row)
+        assert run_cli("size-table", "--reps", "3", "--scenarios", "5x3") == 1
+        assert "replication 1 failed: uniform sampler: drew a zero-norm row" in (
+            capsys.readouterr().err
+        )
 
 
 class TestConfigFile:

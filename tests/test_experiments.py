@@ -215,6 +215,23 @@ class TestReplicationErrorAnnotation:
         with pytest.raises(RuntimeError, match="replication 0"):
             run_rejection_experiment(plan, threads=1)
 
+    def test_zero_norm_row_names_replication(self, monkeypatch):
+        # a zero-norm draw is not redrawn: the replication that drew it fails
+        real = sampling._draw_rows
+
+        def zero_row(model, p, seed, out):
+            tangent = real(model, p, seed, out)
+            if seed.replication_index == 10:
+                out[2] = 0.0
+            return tangent
+
+        monkeypatch.setattr(sampling, "_draw_rows", zero_row)
+        plan = small_plan(n=5, p=3, replications=20)
+        with pytest.raises(
+            RuntimeError, match="replication 10 failed: uniform sampler: drew a zero-norm row"
+        ):
+            run_rejection_experiment(plan, threads=2)
+
     def test_two_workers_name_the_lowest_failing_replication(self, monkeypatch):
         # replication 20 (third block) fails at once, replication 9 (second block) later
         real = sampling._draw_rows
