@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 usage/config/data error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import array
 import dataclasses
 import itertools
 import json
@@ -80,10 +81,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _integer(value) -> int:
-    """int() that refuses to truncate: 3.0 and "3" pass, 2.5 and inf do not."""
-    if isinstance(value, float) and not value.is_integer():
+    """int() that refuses to truncate: 3.0 and "3" pass, 2.5, inf and true do not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _real(value) -> float:
+    """float() that refuses a JSON boolean: 1, 0.5 and "0.5" pass, true does not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 class Option(NamedTuple):
@@ -118,10 +126,10 @@ OPTIONS = (
     _choice("model", ("uniform", "alpha-spherical", "fvml"), "uniform", ("sample",)),
     Option("marginal", {"help": "cauchy | chisq1 | t:<nu> | pareto:<alpha>"}, str,
            {"sample": None, "diagnose": "cauchy"}, ("sample", "diagnose")),
-    Option("kappa", {"type": float}, float, 0.0, ("sample",)),
-    Option("tau", {"type": float}, float, 1.0, ("diagnose",)),
+    Option("kappa", {"type": float}, _real, 0.0, ("sample",)),
+    Option("tau", {"type": float}, _real, 1.0, ("diagnose",)),
     Option("reps", {"type": int}, _integer, 2000, (*_TABLES, "diagnose")),
-    Option("level", {"type": float}, float, 0.05, ("test", *_TABLES, "diagnose")),
+    Option("level", {"type": float}, _real, 0.05, ("test", *_TABLES, "diagnose")),
     Option("seed", {"type": int}, _integer, 0, ("sample", *_TABLES, "diagnose")),
     Option("threads", {"type": int}, _integer, 0, (*_TABLES, "diagnose")),
     _choice("format", ("csv", "json"), "csv", ("test", *_TABLES)),
@@ -233,40 +241,50 @@ def _write_rows(out: str | None, config: dict, key: str, rows: list[dict]) -> No
 # data CSV I/O
 
 
-def _parse_table(lines: list[str], linenos: list[int], path: str) -> np.ndarray:
-    """Parse comma-separated data lines into an (n, p) float64 array.
+def _parse_table(lines: Iterable[str], linenos: list[int], path: str) -> np.ndarray:
+    """Parse comma-separated data lines into an (n, p) float64 array, one float() per cell.
 
-    Cells read as Python's float() reads them.  numpy's C reader parses
-    the table; when it refuses it (a non-numeric cell, a ragged row, or a
-    cell such as ``1_0`` that float() accepts and numpy does not), the
-    per-cell float() loop parses the same lines, so it either returns
-    float()'s values or raises the error naming the file row (`linenos`)
-    and column.
+    `linenos[i]`, the file row of line i, need only be known once line i is
+    read.  A non-numeric cell or a ragged row raises the error naming its
+    row (and column) after the rest of `lines` is read, so that a byte that
+    is not UTF-8 later in the file is reported instead.
     """
-    if not lines:
-        return np.empty((0, 0))  # np.loadtxt warns on empty input
+    values = array.array("d")
+    width: int | None = None  # the first row's
+    lines = iter(lines)  # so that the drain below goes on where the loop stopped
     try:
-        return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        pass
-    table: np.ndarray | None = None  # sized by the first row's width
-    for i, (line, lineno) in enumerate(zip(lines, linenos)):
-        parsed: list[float] = []
-        for col, cell in enumerate((c.strip() for c in line.split(",")), start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
+        for i, line in enumerate(lines):
+            parsed: list[float] = []
+            for col, cell in enumerate((c.strip() for c in line.split(",")), start=1):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise CliError(
+                        f"{path}: non-numeric value {cell!r} at row {linenos[i]}, column {col}"
+                    ) from None
+            if width is None:
+                width = len(parsed)
+            elif len(parsed) != width:
                 raise CliError(
-                    f"{path}: non-numeric value {cell!r} at row {lineno}, column {col}"
-                ) from None
-        if table is None:
-            table = np.empty((len(lines), len(parsed)))
-        elif len(parsed) != table.shape[1]:
-            raise CliError(
-                f"{path}: row {lineno} has {len(parsed)} columns, expected {table.shape[1]}"
-            )
-        table[i] = parsed
-    return table
+                    f"{path}: row {linenos[i]} has {len(parsed)} columns, expected {width}"
+                )
+            values.extend(parsed)
+    except CliError:
+        for _ in lines:
+            pass
+        raise
+    if width is None:
+        return np.empty((0, 0))
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+
+
+def _loadtxt(lines: Iterator[str], linenos: list[int], path: str) -> np.ndarray:
+    """`lines` through numpy's C reader; ValueError where it refuses a line."""
+    first = next(lines, None)
+    if first is None:
+        return np.empty((0, 0))  # np.loadtxt warns on empty input
+    lines = itertools.chain([first], lines)
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
 
 def _is_number(cell: str) -> bool:
@@ -277,17 +295,17 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _data_lines(texts: Iterable[str], linenos: list[int]) -> Iterator[str]:
-    """The data lines of `texts`, stripped, appending each one's file row to `linenos`.
+def _data_lines(file: Iterable[str], linenos: list[int]) -> Iterator[str]:
+    """The data lines of `file`, stripped, appending each one's file row to `linenos`.
 
-    `texts` is a file's lines or a whole text; each is split again with
-    str.splitlines, so every line end it knows ends a row.  Blank lines and
-    lines starting with ``#`` are skipped; the first remaining line is a
-    header, and skipped too, when one of its cells is not a number.
+    Each line the file yields is split again with str.splitlines, so every
+    line end it knows ends a row.  Blank lines and lines starting with
+    ``#`` are skipped; the first remaining line is a header, and skipped
+    too, when one of its cells is not a number.
     """
     lineno = 0
     first = True
-    for text in texts:
+    for text in file:
         for line in text.splitlines():
             lineno += 1
             stripped = line.strip()
@@ -301,33 +319,23 @@ def _data_lines(texts: Iterable[str], linenos: list[int]) -> Iterator[str]:
             yield stripped
 
 
-def _stream_table(path: str) -> tuple[np.ndarray, list[int]]:
-    """The file's data rows and their file rows, read one line at a time into
-    numpy's C reader.
-
-    Raises ValueError where the C reader refuses a line, and
-    UnicodeDecodeError, also a ValueError, where the file is not UTF-8.
-    """
+def _read_table(path: str, parse: Callable) -> tuple[np.ndarray, list[int]]:
+    """`parse(lines, linenos, path)` over the file's data lines, streamed, and their
+    file rows.  The only code that opens the data file.  A file that cannot be
+    read is a CliError, as is one that is not UTF-8, naming the bad byte's offset."""
     linenos: list[int] = []
-    with open(path, encoding="utf-8-sig") as f:
-        lines = _data_lines(f, linenos)
-        first = next(lines, None)
-        if first is None:
-            return np.empty((0, 0)), linenos  # np.loadtxt warns on empty input
-        table = itertools.chain([first], lines)
-        return np.loadtxt(table, delimiter=",", comments=None, dtype=np.float64, ndmin=2), linenos
-
-
-def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
-    """The rows and file rows of `_stream_table`, from the whole text at once and
-    through `_parse_table`, whose errors name the file row and column."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, encoding="utf-8-sig") as f:
+            return parse(_data_lines(f, linenos), linenos, path), linenos
+    except OSError as exc:
         raise CliError(f"cannot read input file {path}: {exc}") from exc
-    linenos: list[int] = []
-    lines = list(_data_lines([text], linenos))
-    return _parse_table(lines, linenos, path), linenos
+    except UnicodeDecodeError as exc:
+        # the streamed error counts from the start of its read chunk, not of the file
+        try:
+            Path(path).read_bytes().decode("utf-8-sig")
+        except (OSError, UnicodeDecodeError) as whole:
+            exc = whole
+        raise CliError(f"cannot read input file {path}: {exc}") from exc
 
 
 def load_data_csv(path: str) -> SphericalSample:
@@ -336,17 +344,15 @@ def load_data_csv(path: str) -> SphericalSample:
     Blank lines and lines starting with ``#`` are skipped; the first
     remaining line is a header, and dropped, when one of its cells is not
     a number.  A UTF-8 byte-order mark is dropped.  Errors name the file
-    row.  Besides the rows, the extra memory is a list of row numbers and a
-    fixed scratch buffer.
+    row.  The file streams into numpy's C reader; where that refuses a line,
+    it streams again into `_parse_table`, whose errors name row and column.
+    Besides the rows, the extra memory is a list of row numbers and a fixed
+    scratch buffer.
     """
     try:
-        data, linenos = _stream_table(path)
-    except OSError as exc:
-        raise CliError(f"cannot read input file {path}: {exc}") from exc
+        data, linenos = _read_table(path, _loadtxt)
     except ValueError:
-        # a line the C reader refuses, or bytes that are not UTF-8: read the whole
-        # text again, so the error names its row and column, or its byte offset
-        data, linenos = _read_table(path)
+        data, linenos = _read_table(path, _parse_table)
     if len(data) < 3:
         raise CliError(f"{path}: need at least 3 observations, found {len(data)}")
     # scale each row by its largest |x| first, so norms of finite rows
@@ -428,11 +434,14 @@ def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:
         token = token.strip().lower()
         try:
             n_str, p_str = token.split("x")
-            out.append((int(n_str), int(p_str)))
+            n, p = int(n_str), int(p_str)
         except ValueError as exc:
             raise CliError(
                 f"bad scenario token {token!r}; expected <n>x<p> like 100x120"
             ) from exc
+        if (n, p) in out:
+            raise CliError(f"scenario {n}x{p} is listed twice")
+        out.append((n, p))
     return tuple(out)
 
 

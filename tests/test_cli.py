@@ -45,6 +45,8 @@ class TestParsers:
 
         with pytest.raises(CliError):
             parse_scenarios("80by40")
+        with pytest.raises(CliError, match="scenario 5x3 is listed twice"):
+            parse_scenarios("5x3, 4x4, 05X3")
 
 
 class TestSampleCommand:
@@ -205,14 +207,28 @@ class TestTestCommand:
         assert run_cli("test", str(data)) == 2
         assert "can't decode byte 0xe9 in position 40007" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second, offset", [(b"oops,1\n", 40022), (b"1,2,3\n", 40021)],
+                             ids=["cell", "width"])
+    def test_invalid_utf8_beyond_a_read_chunk_wins_over_a_bad_row(
+        self, tmp_path, capsys, second, offset
+    ):
+        # the per-cell parser reads to the end of the file before it reports the bad
+        # row, so a bad byte more than one 8 KiB read later is still the error
+        data = tmp_path / "late.csv"
+        data.write_bytes(b"1.0,0.0\n" + second + b"1.0,0.0\n" * 5000 + b"0.6,0.8\xe9\n")
+        assert run_cli("test", str(data)) == 2
+        err = capsys.readouterr().err
+        assert f"can't decode byte 0xe9 in position {offset}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "body, n",
         [
             (b"1,0\n0,1\n1,1\n-1,0\n", 4),
             (b"x,y\n1,0\n0,1\n1,1\n", 3),  # the header is still found and dropped
-            (b"1,0\n0,1\n1_0,0\n-1,0\n", 4),  # the C reader refuses 1_0: the whole-text path
+            (b"1,0\n0,1\n1_0,0\n-1,0\n", 4),  # the C reader refuses 1_0: the per-cell path
         ],
-        ids=["rows", "header", "whole-text"],
+        ids=["rows", "header", "per-cell"],
     )
     def test_byte_order_mark_is_dropped(self, tmp_path, body, n):
         # with the mark the first data row read as a header and was lost
@@ -237,6 +253,25 @@ class TestTestCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_per_cell_load_and_tests_peak_memory(self, tmp_path):
+        # one cell the C reader refuses sends the whole file through the per-cell
+        # parser, which streams it too: the same bound holds
+        rows = sample_uniform_sphere(4000, 100, SeedSpec(78)).rows
+        data = tmp_path / "large.csv"
+        np.savetxt(data, rows, fmt="%.17g", delimiter=",")
+        lines = data.read_text().splitlines()
+        lines[3000] = "1_0" + lines[3000][lines[3000].index(","):]
+        data.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            sample = load_data_csv(str(data))
+            run_all_tests(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n == 4000
         assert peak < 8 * 2**20
 
     def test_csv_output_shape(self, tmp_path, capsys):
@@ -490,10 +525,19 @@ class TestConfigFile:
             (("diagnose", "fvml-blindness", "--reps", "2"), {"tau": {"a": 1}}, "'tau'"),
             (("sample",), {"model": "ALPHA"}, "'model'"),
             (("sample",), {"model": " fvml "}, "'model'"),
+            # JSON booleans are not numbers, although Python's bool is an int
+            (("sample",), {"n": True}, "'n'"),
+            (("sample",), {"p": True}, "'p'"),
+            (("sample", "--model", "fvml"), {"kappa": True}, "'kappa'"),
+            (("size-table", "--scenarios", "5x3"), {"reps": True}, "'reps'"),
+            (("size-table", "--scenarios", "5x3", "--reps", "1"), {"level": False}, "'level'"),
+            (("diagnose", "fvml-blindness", "--reps", "2"), {"tau": True}, "'tau'"),
         ],
         ids=["sample-n-text", "sample-n-fraction", "sample-kappa-list",
              "size-table-reps", "size-table-format", "diagnose-n", "diagnose-tau",
-             "sample-model-alias", "sample-model-padded"],
+             "sample-model-alias", "sample-model-padded", "sample-n-bool", "sample-p-bool",
+             "sample-kappa-bool", "size-table-reps-bool", "size-table-level-bool",
+             "diagnose-tau-bool"],
     )
     def test_wrong_type_value_is_exit_2(self, tmp_path, capsys, argv, doc, key):
         cfg = tmp_path / "cfg.json"
