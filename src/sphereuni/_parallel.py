@@ -55,8 +55,6 @@ def thread_map(fn: Callable[[T, W], R], items: Iterable[T], workspaces: list[W])
     exception of the first item in order that raised is re-raised: every
     earlier item had started, and ran to the end.
     """
-    if len(workspaces) == 1:
-        return [fn(x, workspaces[0]) for x in items]
     items = list(items)
     results: list = [None] * len(items)
     failed: dict[int, BaseException] = {}

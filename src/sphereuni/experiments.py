@@ -396,8 +396,8 @@ def run_fvml_packing_blindness(
     disjoint streams.  At this rate the packing test should keep its
     null rejection rate while the mean-direction test gains power.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:  # also rejects NaN
+        raise ValueError("tau must be finite and >= 0")
     kappa = fvml_kappa(n, p, tau)
     plan = ExperimentPlan(
         n=n, p=p, model=AlternativeModel.fvml(kappa), replications=replications, level=level,

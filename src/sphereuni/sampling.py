@@ -3,8 +3,9 @@
 Covers the uniform null, projections of i.i.d. heavy-tailed coordinates
 (Cauchy, Student-t, symmetrized Pareto, centered chi-square), and the
 Fisher-von Mises-Langevin family.  One body draws every model into a
-block of samples, each from its own SeedSpec stream, and normalizes the
-whole block at once; ``sample_from_model`` is a block of one, and the
+block of samples, each from its own SeedSpec stream.  An FvML sample is
+finished in its own draw; the other models' raw rows are normalized for
+the whole block at once.  ``sample_from_model`` is a block of one, and the
 per-model samplers are wrappers around it.  Every sampler is a pure
 function of its arguments and a SeedSpec, so identical calls give
 bit-identical samples no matter where, when or in which block they run.
@@ -202,7 +203,7 @@ class AlternativeModel:
 
 
 def _normalize_rows(raw: np.ndarray, what: str) -> None:
-    """Project the rows of each sample in a (B, n, p) block to unit norm, in place.
+    """Project the rows of an (n, p) sample or a (B, n, p) block to unit norm, in place.
 
     A zero-norm row raises RuntimeError: it has probability zero for the
     continuous laws sampled here, so it means a broken generator.
@@ -336,48 +337,47 @@ def _check_model_dimension(model: AlternativeModel, p: int) -> None:
         raise ValueError(f"direction must have shape ({p},)")
 
 
-def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray):
-    """Draw one sample's raw rows into `out`, an (n, p) array, from `seed`'s stream.
+def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray) -> None:
+    """Draw one sample's rows into `out`, an (n, p) array, from `seed`'s stream alone.
 
-    Returns, for FvML, the (direction, cosines) the unit tangent rows are
-    combined with, and None for the other models.
+    Uniform and alpha-spherical rows are left raw, for `_sample_block` to
+    normalize; an FvML sample is finished here, as unit rows.
     """
     rng = seed.generator()
     n = out.shape[0]
     if model.kind == "uniform":
         rng.standard_normal(out=out)
-        return None
-    if model.kind == "alpha_spherical":
+    elif model.kind == "alpha_spherical":
         out[...] = _draw_raw(model.marginal, n * p, rng).reshape(n, p)
-        return None
-    if model.direction is None:
-        # fresh direction per sample, drawn ahead of the cosines
-        mu = rng.standard_normal(p)
-        mu /= np.linalg.norm(mu)
     else:
-        mu = np.asarray(model.direction, dtype=np.float64)
-    t = _fvml_cosines(n, p, float(model.kappa), rng)
-    x = rng.standard_normal((n, p))  # Gaussian rows projected orthogonal to mu
-    out[...] = x - np.outer(x @ mu, mu)
-    return mu, t
+        if model.direction is None:
+            # fresh direction per sample, drawn ahead of the cosines
+            mu = rng.standard_normal(p)
+            mu /= np.linalg.norm(mu)
+        else:
+            mu = np.asarray(model.direction, dtype=np.float64)
+        t = _fvml_cosines(n, p, float(model.kappa), rng)
+        x = rng.standard_normal((n, p))  # Gaussian rows projected orthogonal to mu
+        out[...] = x - np.outer(x @ mu, mu)
+        _normalize_rows(out, "fvml sampler")
+        out[...] = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * out
+        out /= _row_norms(out)[:, None]
 
 
 def _sample_block(model: AlternativeModel, p: int, seeds, out: np.ndarray) -> None:
     """Fill out[k] with unit rows of the model drawn from seeds[k]'s stream alone.
 
-    `out` is a C-contiguous (B, n, p) block.  Norms, zero-norm rows and
-    rows whose norm overflows are handled once for the whole block, row by
-    row, so each sample has the bits it has in a block of one.
+    `out` is a C-contiguous (B, n, p) block.  FvML samples come finished from
+    their draws; the other models' norms, zero-norm rows and rows whose norm
+    overflows are handled once for the whole block, row by row, so each
+    sample has the bits it has in a block of one.
     """
-    fvml = [_draw_rows(model, p, seed, rows) for seed, rows in zip(seeds, out)]
-    # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
-    with np.errstate(over="ignore"):
-        _normalize_rows(out, f"{model.kind} sampler")
-    for rows, tangent in zip(out, fvml):
-        if tangent is not None:
-            mu, t = tangent
-            rows[...] = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * rows
-            rows /= _row_norms(rows)[:, None]
+    for seed, rows in zip(seeds, out):
+        _draw_rows(model, p, seed, rows)
+    if model.kind != "fvml":
+        # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
+        with np.errstate(over="ignore"):
+            _normalize_rows(out, f"{model.kind} sampler")
 
 
 def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -> SphericalSample:

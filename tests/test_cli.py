@@ -453,10 +453,13 @@ class TestExitCodes:
             # a standard deviation or a correlation needs two replications
             *((("diagnose", kind, "--reps", "1"), "replications must be >= 2")
               for kind in SPREAD_KINDS),
+            *((("diagnose", "fvml-blindness", "--tau", tau), "tau must be finite and >= 0")
+              for tau in ("nan", "inf")),
         ],
         ids=["reps-0", "negative-threads", "scenario-n2", "diagnose-n2",
              *(f"diagnose-{kind}-reps{reps}" for kind in DIAGNOSE_KINDS for reps in ("0", "-3")),
-             *(f"diagnose-{kind}-reps1" for kind in SPREAD_KINDS)],
+             *(f"diagnose-{kind}-reps1" for kind in SPREAD_KINDS),
+             "fvml-tau-nan", "fvml-tau-inf"],
     )
     def test_usage_error_is_exit_2(self, capsys, argv, message):
         assert run_cli(*argv) == 2
@@ -485,10 +488,9 @@ class TestExitCodes:
         real = sampling._draw_rows
 
         def zero_row(model, p, seed, out):
-            tangent = real(model, p, seed, out)
+            real(model, p, seed, out)
             if seed.replication_index == 1:
                 out[0] = 0.0
-            return tangent
 
         monkeypatch.setattr(sampling, "_draw_rows", zero_row)
         assert run_cli("size-table", "--reps", "3", "--scenarios", "5x3") == 1

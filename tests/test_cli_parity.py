@@ -6,6 +6,7 @@ options are declared cannot change a flag, a default, a key or its order.
 
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -161,3 +162,18 @@ def test_flag_and_config_embed_the_same_config(tmp_path, data_csv, command, opti
     from_flag = embedded_config(by_flag)
     assert list(from_flag.items()) == list(embedded_config(by_config).items())
     assert from_flag[option] == VALUES[option]
+
+
+def test_readme_config_table_lists_each_commands_options_in_row_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | config keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines():
+        commands, keys = line.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            assert command not in listed, f"README lists {command} twice"
+            listed[command] = tuple(re.findall(r"`([^`]+)`", keys))
+    assert listed == {
+        command: tuple(o.name for o in cli.OPTIONS if command in o.commands)
+        for command in cli.COMMANDS
+    }

@@ -190,6 +190,9 @@ class TestFvmlBlindness:
     def test_domain(self):
         with pytest.raises(ValueError):
             run_fvml_packing_blindness(100, 100, -1.0, 10, 1)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau"):
+                run_fvml_packing_blindness(100, 100, tau, 10, 1)
         with pytest.raises(ValueError):
             run_fvml_packing_blindness(100, 1, 1.0, 10, 1)
 
@@ -220,10 +223,9 @@ class TestReplicationErrorAnnotation:
         real = sampling._draw_rows
 
         def zero_row(model, p, seed, out):
-            tangent = real(model, p, seed, out)
+            real(model, p, seed, out)
             if seed.replication_index == 10:
                 out[2] = 0.0
-            return tangent
 
         monkeypatch.setattr(sampling, "_draw_rows", zero_row)
         plan = small_plan(n=5, p=3, replications=20)

@@ -45,6 +45,20 @@ def test_thread_map_with_one_workspace_runs_in_the_caller():
     assert out == [(1, "w", caller), (2, "w", caller)]
 
 
+def test_thread_map_with_one_workspace_stops_at_the_first_failure():
+    ran = []
+
+    def fn(x, workspace):
+        ran.append(x)
+        if x == 3:
+            raise KeyError("item 3")
+        return x
+
+    with pytest.raises(KeyError, match="item 3"):
+        _parallel.thread_map(fn, range(10), ["w"])
+    assert ran == [0, 1, 2, 3]  # items 4 to 9 never ran
+
+
 def test_thread_map_stops_its_threads_when_one_cannot_start(monkeypatch):
     real = threading.Thread
     started = []

@@ -10,6 +10,7 @@ from sphereuni.sampling import (
     HeavyTailMarginal,
     SeedSpec,
     SphericalSample,
+    _fvml_cosines,
     _normalize_rows,
     _row_norms,
     _sample_block,
@@ -274,7 +275,41 @@ class TestOverflowingRows:
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
 
+def fvml_oracle(kappa, direction, n, p, seed):
+    """An FvML sample rebuilt from its stream, with numpy's norms in place of _row_norms."""
+    rng = seed.generator()
+    if direction is None:
+        mu = rng.standard_normal(p)
+        mu /= np.linalg.norm(mu)
+    else:
+        mu = direction
+    t = _fvml_cosines(n, p, float(kappa), rng)
+    x = rng.standard_normal((n, p))
+    xi = x - np.outer(x @ mu, mu)
+    xi = xi / np.linalg.norm(xi, axis=1)[:, None]
+    rows = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * xi
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
 class TestFvmlSampler:
+    @pytest.mark.parametrize("kappa", [0.0, 2.5, 1e6, 1e300])
+    @pytest.mark.parametrize("n, p", [(1, 2), (30, 12), (100, 100)])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed"])
+    def test_rows_match_an_independent_construction(self, kappa, n, p, fixed):
+        direction = None
+        if fixed:
+            direction = np.arange(1.0, p + 1.0)
+            direction /= np.linalg.norm(direction)
+        model = AlternativeModel.fvml(kappa, direction)
+        seeds = [SeedSpec(43, i) for i in range(5)]
+        block = np.empty((len(seeds), n, p))
+        _sample_block(model, p, seeds, block)
+        for rows, seed in zip(block, seeds):
+            expected = fvml_oracle(kappa, direction, n, p, seed).view(np.uint64)
+            np.testing.assert_array_equal(rows.view(np.uint64), expected)
+            alone = sample_from_model(model, n, p, seed).rows
+            np.testing.assert_array_equal(alone.view(np.uint64), expected)
+
     def test_kappa_zero_matches_uniform_law(self):
         # concentration zero must behave exactly like the null: check the
         # rayleigh rejection rate over full monte carlo in experiments tests;
