@@ -95,13 +95,14 @@ def _real(value) -> float:
 
 
 class Option(NamedTuple):
-    """One row of OPTIONS: a `--name` flag and the config key of the same name."""
+    """One row of OPTIONS: a `--name` flag and the config key of the same name.
+    `convert` is the only conversion of either: the flag's text or the config value."""
 
     name: str
-    flag: dict  # add_argument keywords: the flag's type or choices, its help
-    convert: Callable  # a config-file value -> the option's value
-    default: object  # or {command: default} where the commands differ
+    convert: Callable  # -> the option's value; TypeError, ValueError or CliError refuses
+    default: object
     commands: tuple[str, ...]
+    help: str | None = None
 
 
 def _choice(name: str, choices: tuple[str, ...], default: str, commands: tuple[str, ...]) -> Option:
@@ -112,26 +113,35 @@ def _choice(name: str, choices: tuple[str, ...], default: str, commands: tuple[s
             raise ValueError(f"expected one of {', '.join(choices)}")
         return value
 
-    return Option(name, {"choices": choices}, convert, default, commands)
+    return Option(name, convert, default, commands, " | ".join(choices))
+
+
+def _marginal(value) -> str:
+    """A marginal spec that `parse_marginal` accepts, kept as written."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a marginal spec")
+    parse_marginal(value)
+    return value
 
 
 _TABLES = ("size-table", "power-table")
+_MARGINAL_HELP = "cauchy | chisq1 | t:<nu> | pareto:<alpha>"
 
 # Row order is the order of the options in every artifact's `config`.
 OPTIONS = (
-    Option("scenarios", {"help": "comma-separated <n>x<p> pairs"}, str,
-           ",".join(f"{n}x{p}" for n, p in TABLE1_SCENARIOS), _TABLES),
-    Option("n", {"type": int}, _integer, 100, ("sample", "diagnose")),
-    Option("p", {"type": int}, _integer, 100, ("sample", "diagnose")),
+    Option("scenarios", str, ",".join(f"{n}x{p}" for n, p in TABLE1_SCENARIOS), _TABLES,
+           "comma-separated <n>x<p> pairs"),
+    Option("n", _integer, 100, ("sample", "diagnose")),
+    Option("p", _integer, 100, ("sample", "diagnose")),
     _choice("model", ("uniform", "alpha-spherical", "fvml"), "uniform", ("sample",)),
-    Option("marginal", {"help": "cauchy | chisq1 | t:<nu> | pareto:<alpha>"}, str,
-           {"sample": None, "diagnose": "cauchy"}, ("sample", "diagnose")),
-    Option("kappa", {"type": float}, _real, 0.0, ("sample",)),
-    Option("tau", {"type": float}, _real, 1.0, ("diagnose",)),
-    Option("reps", {"type": int}, _integer, 2000, (*_TABLES, "diagnose")),
-    Option("level", {"type": float}, _real, 0.05, ("test", *_TABLES, "diagnose")),
-    Option("seed", {"type": int}, _integer, 0, ("sample", *_TABLES, "diagnose")),
-    Option("threads", {"type": int}, _integer, 0, (*_TABLES, "diagnose")),
+    Option("marginal", _marginal, None, ("sample",), _MARGINAL_HELP),
+    Option("marginal", _marginal, "cauchy", ("diagnose",), _MARGINAL_HELP),
+    Option("kappa", _real, 0.0, ("sample",)),
+    Option("tau", _real, 1.0, ("diagnose",)),
+    Option("reps", _integer, 2000, (*_TABLES, "diagnose")),
+    Option("level", _real, 0.05, ("test", *_TABLES, "diagnose")),
+    Option("seed", _integer, 0, ("sample", *_TABLES, "diagnose")),
+    Option("threads", _integer, 0, (*_TABLES, "diagnose")),
     _choice("format", ("csv", "json"), "csv", ("test", *_TABLES)),
 )
 
@@ -139,32 +149,27 @@ OPTIONS = (
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The resolved config of `args.command`: "command", then its OPTIONS rows in order.
 
-    Each value is the flag if given, else the config-file value through
-    the row's converter, else the default.  Flags arrive typed from
-    argparse; a config value of the wrong type is a config error naming
-    its key.  A null config value counts as unset.  An unwritable `--out`
-    is refused here, before the command does any work.
+    Each value is the flag's text if given, else the config-file value,
+    through the row's converter; a null config value counts as unset and
+    gives the default.  A refused value is a CliError naming `--<name>` or
+    `config key '<name>'`.  An unwritable `--out` is refused here, before
+    the command does any work.
     """
     config_file = _load_config(args.config)
     config = {"command": args.command}
     for option in OPTIONS:
         if args.command not in option.commands:
             continue
-        flag, value = getattr(args, option.name), config_file.get(option.name)
-        if flag is not None:
-            value = flag
-        elif value is None:
-            value = option.default
-            if isinstance(value, dict):
-                value = value[args.command]
-        else:
-            try:
-                value = option.convert(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CliError(
-                    f"config key {option.name!r}: bad value {value!r} ({exc})"
-                ) from exc
-        config[option.name] = value
+        value, where = getattr(args, option.name), f"--{option.name}"
+        if value is None:
+            value, where = config_file.get(option.name), f"config key {option.name!r}"
+        if value is None:
+            config[option.name] = option.default
+            continue
+        try:
+            config[option.name] = option.convert(value)
+        except (TypeError, ValueError, OverflowError, CliError) as exc:
+            raise CliError(f"{where}: bad value {value!r} ({exc})") from exc
     _check_out(args.out)
     return config
 
@@ -416,7 +421,11 @@ def marginal_label(m: HeavyTailMarginal) -> str:
 
 
 def build_model(model: str, marginal: str | None, kappa: float) -> AlternativeModel:
-    """The model named by one of the `model` row's choices."""
+    """The model named by one of the `model` row's choices; an option it does not read is refused."""
+    if marginal is not None and model != "alpha-spherical":
+        raise CliError(f"--model {model} takes no --marginal")
+    if kappa != 0.0 and model != "fvml":
+        raise CliError(f"--model {model} takes no --kappa")
     if model == "uniform":
         return AlternativeModel.uniform()
     if model == "alpha-spherical":
@@ -596,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(positional[0], help=positional[1])
         for option in OPTIONS:
             if name in option.commands:
-                cmd.add_argument(f"--{option.name}", **option.flag)
+                cmd.add_argument(f"--{option.name}", help=option.help)
         cmd.add_argument("--config", help="flat JSON config file; flags override it")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.set_defaults(func=func)

@@ -398,13 +398,15 @@ def run_fvml_packing_blindness(
     """
     if not 0.0 <= tau < math.inf:  # also rejects NaN
         raise ValueError("tau must be finite and >= 0")
-    kappa = fvml_kappa(n, p, tau)
-    plan = ExperimentPlan(
-        n=n, p=p, model=AlternativeModel.fvml(kappa), replications=replications, level=level,
+    # the uniform plan checks n, p, replications, level and seed before kappa is computed
+    null_plan = ExperimentPlan(
+        n=n, p=p, model=AlternativeModel.uniform(), replications=replications, level=level,
         master_seed=master_seed, tests=("rayleigh", "packing"),
     )
-    _, alt = _simulate(plan, threads)
-    null_plan = replace(plan, model=AlternativeModel.uniform())
+    kappa = fvml_kappa(n, p, tau)
+    if not math.isfinite(kappa):
+        raise ValueError(f"tau = {tau} is too large: kappa = tau * p^(3/4) / sqrt(n) overflows")
+    _, alt = _simulate(replace(null_plan, model=AlternativeModel.fvml(kappa)), threads)
     _, null = _simulate(null_plan, threads, seed_offset=replications)
     packing_rate = float(alt["packing"].reject.mean())
     packing_rate_null = float(null["packing"].reject.mean())

@@ -455,11 +455,30 @@ class TestExitCodes:
               for kind in SPREAD_KINDS),
             *((("diagnose", "fvml-blindness", "--tau", tau), "tau must be finite and >= 0")
               for tau in ("nan", "inf")),
+            # a finite tau whose kappa overflows is reported as tau, the command's flag
+            (("diagnose", "fvml-blindness", "--tau", "1e308", "--n", "10", "--p", "5",
+              "--reps", "2"), "tau = 1e+308 is too large"),
+            # a bad flag value goes through the row's converter, as a config value does
+            (("sample", "--n", "x"), "--n: bad value 'x'"),
+            (("sample", "--model", "bogus"), "--model: bad value 'bogus'"),
+            (("size-table", "--format", "xml"), "--format: bad value 'xml'"),
+            (("diagnose", "independence", "--marginal", "bogus"), "--marginal: bad value 'bogus'"),
+            (("sample", "--model", "fvml", "--marginal", "bogus"), "--marginal: bad value 'bogus'"),
+            # sample refuses an option its model does not read
+            *((("sample", "--model", model, "--marginal", "cauchy", "--n", "3", "--p", "2"),
+               f"--model {model} takes no --marginal") for model in ("uniform", "fvml")),
+            (("sample", "--kappa", "5", "--n", "3", "--p", "2"),
+             "--model uniform takes no --kappa"),
+            (("sample", "--model", "alpha-spherical", "--marginal", "cauchy", "--kappa", "5",
+              "--n", "3", "--p", "2"), "--model alpha-spherical takes no --kappa"),
         ],
         ids=["reps-0", "negative-threads", "scenario-n2", "diagnose-n2",
              *(f"diagnose-{kind}-reps{reps}" for kind in DIAGNOSE_KINDS for reps in ("0", "-3")),
              *(f"diagnose-{kind}-reps1" for kind in SPREAD_KINDS),
-             "fvml-tau-nan", "fvml-tau-inf"],
+             "fvml-tau-nan", "fvml-tau-inf", "fvml-kappa-overflow",
+             "flag-n-text", "flag-model-bogus", "flag-format-xml",
+             "flag-diagnose-marginal-bogus", "flag-sample-marginal-bogus",
+             "uniform-marginal", "fvml-marginal", "uniform-kappa", "alpha-spherical-kappa"],
     )
     def test_usage_error_is_exit_2(self, capsys, argv, message):
         assert run_cli(*argv) == 2
@@ -534,12 +553,15 @@ class TestConfigFile:
             (("size-table", "--scenarios", "5x3"), {"reps": True}, "'reps'"),
             (("size-table", "--scenarios", "5x3", "--reps", "1"), {"level": False}, "'level'"),
             (("diagnose", "fvml-blindness", "--reps", "2"), {"tau": True}, "'tau'"),
+            # a marginal spec is checked wherever it is given
+            (("diagnose", "independence"), {"marginal": "bogus"}, "'marginal'"),
+            (("sample",), {"marginal": 5}, "'marginal'"),
         ],
         ids=["sample-n-text", "sample-n-fraction", "sample-kappa-list",
              "size-table-reps", "size-table-format", "diagnose-n", "diagnose-tau",
              "sample-model-alias", "sample-model-padded", "sample-n-bool", "sample-p-bool",
              "sample-kappa-bool", "size-table-reps-bool", "size-table-level-bool",
-             "diagnose-tau-bool"],
+             "diagnose-tau-bool", "diagnose-marginal-bogus", "sample-marginal-number"],
     )
     def test_wrong_type_value_is_exit_2(self, tmp_path, capsys, argv, doc, key):
         cfg = tmp_path / "cfg.json"

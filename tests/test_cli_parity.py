@@ -47,6 +47,9 @@ VALUES = {
     "format": "json",
 }
 
+# the model that reads each sample option which not every model reads
+MODEL_READING = {"marginal": "alpha-spherical", "kappa": "fvml"}
+
 # flags that keep each run tiny when the option under test is not one of them
 SMALL = {
     "sample": {"n": 5, "p": 3},
@@ -149,6 +152,8 @@ def test_flag_and_config_embed_the_same_config(tmp_path, data_csv, command, opti
         head.append(str(data_csv))
     elif command == "diagnose":
         head.append("packing-lln")
+    if command == "sample" and option in MODEL_READING:
+        head += ["--model", MODEL_READING[option]]
     for key, value in SMALL.get(command, {}).items():
         if key != option:
             head += [f"--{key}", str(value)]
@@ -162,6 +167,12 @@ def test_flag_and_config_embed_the_same_config(tmp_path, data_csv, command, opti
     from_flag = embedded_config(by_flag)
     assert list(from_flag.items()) == list(embedded_config(by_config).items())
     assert from_flag[option] == VALUES[option]
+
+
+def test_flag_text_of_each_default_resolves_to_it():
+    for option in cli.OPTIONS:
+        if option.default is not None:
+            assert option.convert(str(option.default)) == option.default, option
 
 
 def test_readme_config_table_lists_each_commands_options_in_row_order():

@@ -195,6 +195,13 @@ class TestFvmlBlindness:
                 run_fvml_packing_blindness(100, 100, tau, 10, 1)
         with pytest.raises(ValueError):
             run_fvml_packing_blindness(100, 1, 1.0, 10, 1)
+        # a finite tau whose kappa overflows is named as tau
+        with pytest.raises(ValueError, match="tau"):
+            run_fvml_packing_blindness(10, 5, 1e308, 10, 1)
+        # n is checked before kappa divides by its square root
+        for n in (0, -4):
+            with pytest.raises(ValueError, match="need n >= 2"):
+                run_fvml_packing_blindness(n, 5, 1.0, 2, 1)
 
     def test_deterministic_and_streams_disjoint(self):
         a = run_fvml_packing_blindness(30, 20, 0.5, 40, 7, threads=1)
