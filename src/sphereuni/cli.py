@@ -537,21 +537,27 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# kind: a call taking the diagnose config and the keyword arguments every diagnostic takes
+# kind: (the options it reads that not every kind reads, a call taking the
+# diagnose config and the keyword arguments every diagnostic takes)
 DIAGNOSTICS = {
-    "rayleigh-blindness": lambda c, **common: run_rayleigh_blindness_diagnostic(
+    "rayleigh-blindness": (("marginal",), lambda c, **common: run_rayleigh_blindness_diagnostic(
         marginal=parse_marginal(c["marginal"]), **common
-    ),
-    "bingham-scaling": lambda c, **common: run_bingham_scaling_diagnostic(
+    )),
+    "bingham-scaling": (("marginal",), lambda c, **common: run_bingham_scaling_diagnostic(
         marginal=parse_marginal(c["marginal"]), **common
-    ),
-    "packing-lln": lambda c, **common: run_packing_lln_diagnostic(
+    )),
+    "packing-lln": (("marginal",), lambda c, **common: run_packing_lln_diagnostic(
         model=parse_marginal(c["marginal"]), **common
-    ),
-    "independence": lambda c, **common: run_independence_diagnostic(**common),
-    "fvml-blindness": lambda c, **common: run_fvml_packing_blindness(tau=c["tau"], **common),
+    )),
+    "independence": ((), lambda c, **common: run_independence_diagnostic(**common)),
+    "fvml-blindness": (("tau",), lambda c, **common: run_fvml_packing_blindness(
+        tau=c["tau"], **common
+    )),
 }
 DIAGNOSE_KINDS = tuple(DIAGNOSTICS)
+# the OPTIONS rows of diagnose that some kinds read and others refuse
+_KIND_OPTIONS = [o for o in OPTIONS if "diagnose" in o.commands
+                 and any(o.name in reads for reads, _ in DIAGNOSTICS.values())]
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -559,13 +565,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         raise CliError(
             f"unknown diagnostic {args.kind!r}; valid kinds: {', '.join(DIAGNOSE_KINDS)}"
         )
+    reads, run = DIAGNOSTICS[args.kind]
     config = _insert_after(_resolve_config(args), "command", kind=args.kind)
+    for option in _KIND_OPTIONS:
+        if option.name not in reads and config[option.name] != option.default:
+            raise CliError(f"diagnose {args.kind} takes no --{option.name}")
     if config["n"] < 3:
         raise CliError(f"diagnostics need --n >= 3, got {config['n']}")
     try:
         # each warning becomes one stderr line, not a source location and line
         with warnings.catch_warnings(record=True) as caught:
-            report = DIAGNOSTICS[args.kind](
+            report = run(
                 config, n=config["n"], p=config["p"], replications=config["reps"],
                 master_seed=config["seed"], level=config["level"], threads=config["threads"],
             )

@@ -5,7 +5,7 @@ validates the whole request before one engine runs it.  The engine is
 summary-first.  Replication i draws its sample from the stream
 (master_seed, i) and keeps only the kernel's three pairwise reductions
 (sum, sum of squares, max |g|) as row i of an (R, 3) array.  Statistics,
-p-values and rejections of the plan's tests are then computed once,
+p-values and rejections of all four tests are then computed once,
 vectorized over replications, through the same ``stats.evaluate_tests``
 that ``run_all_tests`` uses for a single sample.
 
@@ -67,9 +67,6 @@ POWER_MARGINALS = (
     HeavyTailMarginal.student_t(1.5),
 )
 
-_QUANTILE_KEYS = (("q05", 0.05), ("q50", 0.50), ("q95", 0.95))
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     n: int
@@ -78,32 +75,32 @@ class ExperimentPlan:
     replications: int
     level: float = 0.05
     master_seed: int = 0
-    tests: tuple[str, ...] = TEST_NAMES
 
     def __post_init__(self) -> None:
-        if self.n < 2 or self.p < 1:
-            raise ValueError("need n >= 2 and p >= 1")
+        # the combined test needs the packing p-value, which needs n >= 3
+        if self.n < 3 or self.p < 1:
+            raise ValueError("need n >= 3 and p >= 1")
         _check_model_dimension(self.model, self.p)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         SeedSpec(self.master_seed)  # a bad seed is a usage error, not a failed replication
-        _check_request(self.n, self.level, self.tests)
+        _check_request(self.n, self.level)
 
 
 @dataclass(frozen=True)
 class TestAggregate:
+    """One test over a plan's replications: rejection count and rate, the
+    rate's binomial standard error, and the statistic's mean."""
+
     rejections: int
     rate: float
     standard_error: float
     stat_mean: float
-    stat_sd: float
-    stat_quantiles: dict[str, float]
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     plan: ExperimentPlan
-    replications_completed: int
     per_test: dict[str, TestAggregate]
 
 
@@ -133,7 +130,7 @@ def _simulate(
     plan: ExperimentPlan, threads: int, seed_offset: int = 0
 ) -> tuple[PairwiseSummary, dict[str, TestArrays]]:
     """Pairwise reductions of the plan's replications seed_offset .. seed_offset+R-1
-    as (R,) arrays, and the plan's tests scored on them.
+    as (R,) arrays, and the four tests scored on them.
 
     Blocks of replications run on the thread map; `threads` is its worker count.
     """
@@ -177,41 +174,31 @@ def _simulate(
         n=n, p=p, sum_inner=reductions[:, 0], sum_inner_sq=reductions[:, 1],
         max_abs_inner=reductions[:, 2],
     )
-    return summary, evaluate_tests(summary, plan.level, plan.tests)
+    return summary, evaluate_tests(summary, plan.level)
 
 
 def _aggregate(statistic: np.ndarray, reject: np.ndarray) -> TestAggregate:
     reps = reject.size
     k = int(reject.sum())
     rate = k / reps
-    quantiles = {
-        key: float(np.quantile(statistic, q)) for key, q in _QUANTILE_KEYS
-    }
     return TestAggregate(
         rejections=k,
         rate=rate,
         standard_error=math.sqrt(rate * (1.0 - rate) / reps),
         stat_mean=float(statistic.mean()),
-        stat_sd=float(statistic.std(ddof=1)) if reps > 1 else 0.0,
-        stat_quantiles=quantiles,
     )
 
 
 def run_rejection_experiment(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
-    """Monte Carlo rejection rates for the planned tests.
+    """Monte Carlo rejection rates of the four tests, keyed in TEST_NAMES order.
 
     Replication i draws from its own stream (master_seed, i), so the result
     depends only on the plan, not on ``threads`` (the worker count, 0 for
     one per available CPU).
     """
     _, results = _simulate(plan, threads)
-    per_test = {
-        name: _aggregate(results[name].statistic, results[name].reject)
-        for name in plan.tests
-    }
-    return ExperimentResult(
-        plan=plan, replications_completed=plan.replications, per_test=per_test
-    )
+    per_test = {name: _aggregate(r.statistic, r.reject) for name, r in results.items()}
+    return ExperimentResult(plan=plan, per_test=per_test)
 
 
 def _require_symmetric(marginal: HeavyTailMarginal, what: str) -> None:
@@ -246,7 +233,7 @@ def run_rayleigh_blindness_diagnostic(
     _require_symmetric(marginal, "rayleigh blindness diagnostic")
     plan = ExperimentPlan(
         n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
-        level=level, master_seed=master_seed, tests=("rayleigh",),
+        level=level, master_seed=master_seed,
     )
     _require_spread(plan, "rayleigh blindness diagnostic")
     _, results = _simulate(plan, threads)
@@ -280,7 +267,7 @@ def run_bingham_scaling_diagnostic(
     gamma = p / n
     plan = ExperimentPlan(
         n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
-        level=level, master_seed=master_seed, tests=("bingham",),
+        level=level, master_seed=master_seed,
     )
     _require_spread(plan, "bingham scaling diagnostic")
     _, results = _simulate(plan, threads)
@@ -320,7 +307,7 @@ def run_packing_lln_diagnostic(
         model = AlternativeModel.alpha_spherical(model)
     plan = ExperimentPlan(
         n=n, p=p, model=model, replications=replications, level=level,
-        master_seed=master_seed, tests=("packing",),
+        master_seed=master_seed,
     )
     summary, results = _simulate(plan, threads)
     max_abs = summary.max_abs_inner
@@ -401,7 +388,7 @@ def run_fvml_packing_blindness(
     # the uniform plan checks n, p, replications, level and seed before kappa is computed
     null_plan = ExperimentPlan(
         n=n, p=p, model=AlternativeModel.uniform(), replications=replications, level=level,
-        master_seed=master_seed, tests=("rayleigh", "packing"),
+        master_seed=master_seed,
     )
     kappa = fvml_kappa(n, p, tau)
     if not math.isfinite(kappa):

@@ -167,37 +167,28 @@ def fisher_combination(
     )
 
 
-def _check_request(n: int, level: float, tests: tuple[str, ...]) -> None:
-    """Reject a level, test list or sample size that `evaluate_tests` cannot score."""
+def _check_request(n: int, level: float) -> None:
+    """Reject a level or sample size that `evaluate_tests` cannot score."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    unknown = set(tests) - set(TEST_NAMES)
-    if unknown:
-        raise ValueError(f"unknown tests: {sorted(unknown)}")
-    if not tests:
-        raise ValueError("tests must be non-empty")
-    # the combined test needs all three component p-values
-    if n < 3 and ("packing" in tests or "fisher" in tests):
+    # the combined test needs the packing p-value
+    if n < 3:
         raise ValueError("packing/fisher tests need n >= 3")
 
 
-def evaluate_tests(
-    summary: PairwiseSummary, level: float, tests: tuple[str, ...] = TEST_NAMES
-) -> dict[str, TestArrays]:
-    """Statistic, p-value and rejection of each requested test, in TEST_NAMES order.
+def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArrays]:
+    """Statistic, p-value and rejection of all four tests, in TEST_NAMES order.
 
     Elementwise over the summary's reductions.
     """
-    _check_request(summary.n, level, tests)
+    _check_request(summary.n, level)
     out: dict[str, TestArrays] = {}
     for name, statistic, law in _COMPONENTS:
-        if name in tests or "fisher" in tests:
-            stat = statistic(summary)
-            p = nulldist.upper_p_value(law, stat)
-            out[name] = TestArrays(statistic=stat, p_value=p, reject=p <= level)
-    if "fisher" in tests:
-        out["fisher"] = _fisher(*(out[name].p_value for name, _, _ in _COMPONENTS), level)
-    return {name: out[name] for name in TEST_NAMES if name in tests}
+        stat = statistic(summary)
+        p = nulldist.upper_p_value(law, stat)
+        out[name] = TestArrays(statistic=stat, p_value=p, reject=p <= level)
+    out["fisher"] = _fisher(*(r.p_value for r in out.values()), level)
+    return out
 
 
 def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutcome]:

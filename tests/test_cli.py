@@ -471,6 +471,13 @@ class TestExitCodes:
              "--model uniform takes no --kappa"),
             (("sample", "--model", "alpha-spherical", "--marginal", "cauchy", "--kappa", "5",
               "--n", "3", "--p", "2"), "--model alpha-spherical takes no --kappa"),
+            # diagnose refuses a --tau or --marginal its kind does not read
+            *((("diagnose", kind, f"--{name}", value, "--n", "10", "--p", "5", "--reps", "3"),
+               f"diagnose {kind} takes no --{name}")
+              for kind, name, value in (("independence", "tau", "9"),
+                                        ("independence", "marginal", "t:1.5"),
+                                        ("fvml-blindness", "marginal", "t:1.5"),
+                                        ("packing-lln", "tau", "2"))),
         ],
         ids=["reps-0", "negative-threads", "scenario-n2", "diagnose-n2",
              *(f"diagnose-{kind}-reps{reps}" for kind in DIAGNOSE_KINDS for reps in ("0", "-3")),
@@ -478,7 +485,9 @@ class TestExitCodes:
              "fvml-tau-nan", "fvml-tau-inf", "fvml-kappa-overflow",
              "flag-n-text", "flag-model-bogus", "flag-format-xml",
              "flag-diagnose-marginal-bogus", "flag-sample-marginal-bogus",
-             "uniform-marginal", "fvml-marginal", "uniform-kappa", "alpha-spherical-kappa"],
+             "uniform-marginal", "fvml-marginal", "uniform-kappa", "alpha-spherical-kappa",
+             "independence-tau", "independence-marginal", "fvml-blindness-marginal",
+             "packing-lln-tau"],
     )
     def test_usage_error_is_exit_2(self, capsys, argv, message):
         assert run_cli(*argv) == 2
@@ -486,6 +495,19 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
         assert "RuntimeWarning" not in err
+
+    def test_diagnose_kind_refuses_a_config_value_it_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": 9}))
+        assert run_cli("diagnose", "rayleigh-blindness", "--config", str(cfg),
+                       "--n", "10", "--p", "5", "--reps", "3") == 2
+        assert "diagnose rayleigh-blindness takes no --tau" in capsys.readouterr().err
+
+    def test_diagnose_kind_accepts_the_default_of_an_option_it_does_not_read(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert run_cli("diagnose", "independence", "--marginal", "cauchy", "--n", "10",
+                       "--p", "5", "--reps", "3", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["marginal"] == "cauchy"
 
     def test_internal_error_is_exit_1(self, tmp_path, monkeypatch):
         data = tmp_path / "u.csv"

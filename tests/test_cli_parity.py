@@ -50,6 +50,9 @@ VALUES = {
 # the model that reads each sample option which not every model reads
 MODEL_READING = {"marginal": "alpha-spherical", "kappa": "fvml"}
 
+# the diagnostic kind each diagnose option runs under: one that reads it
+KIND_READING = {"tau": "fvml-blindness"}
+
 # flags that keep each run tiny when the option under test is not one of them
 SMALL = {
     "sample": {"n": 5, "p": 3},
@@ -151,7 +154,7 @@ def test_flag_and_config_embed_the_same_config(tmp_path, data_csv, command, opti
     if command == "test":
         head.append(str(data_csv))
     elif command == "diagnose":
-        head.append("packing-lln")
+        head.append(KIND_READING.get(option, "packing-lln"))
     if command == "sample" and option in MODEL_READING:
         head += ["--model", MODEL_READING[option]]
     for key, value in SMALL.get(command, {}).items():
