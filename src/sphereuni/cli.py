@@ -124,12 +124,19 @@ def _marginal(value) -> str:
     return value
 
 
+def _scenarios(value) -> str:
+    """Comma-separated <n>x<p> pairs that `parse_scenarios` accepts, normalized."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a list of scenarios")
+    return ",".join(f"{n}x{p}" for n, p in parse_scenarios(value))
+
+
 _TABLES = ("size-table", "power-table")
 _MARGINAL_HELP = "cauchy | chisq1 | t:<nu> | pareto:<alpha>"
 
 # Row order is the order of the options in every artifact's `config`.
 OPTIONS = (
-    Option("scenarios", str, ",".join(f"{n}x{p}" for n, p in TABLE1_SCENARIOS), _TABLES,
+    Option("scenarios", _scenarios, ",".join(f"{n}x{p}" for n, p in TABLE1_SCENARIOS), _TABLES,
            "comma-separated <n>x<p> pairs"),
     Option("n", _integer, 100, ("sample", "diagnose")),
     Option("p", _integer, 100, ("sample", "diagnose")),
@@ -525,7 +532,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     """size-table runs the uniform model, power-table each of POWER_MARGINALS."""
     config = _resolve_config(args)
     scenarios = parse_scenarios(config["scenarios"])
-    config["scenarios"] = ",".join(f"{n}x{p}" for n, p in scenarios)
     if args.command == "size-table":
         models = [(None, AlternativeModel.uniform())]
     else:
@@ -537,22 +543,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# kind: (the options it reads that not every kind reads, a call taking the
-# diagnose config and the keyword arguments every diagnostic takes)
+# kind: (the options it reads that not every kind reads, its diagnostic, which
+# takes their values, parsed, as positional arguments after n and p)
 DIAGNOSTICS = {
-    "rayleigh-blindness": (("marginal",), lambda c, **common: run_rayleigh_blindness_diagnostic(
-        marginal=parse_marginal(c["marginal"]), **common
-    )),
-    "bingham-scaling": (("marginal",), lambda c, **common: run_bingham_scaling_diagnostic(
-        marginal=parse_marginal(c["marginal"]), **common
-    )),
-    "packing-lln": (("marginal",), lambda c, **common: run_packing_lln_diagnostic(
-        model=parse_marginal(c["marginal"]), **common
-    )),
-    "independence": ((), lambda c, **common: run_independence_diagnostic(**common)),
-    "fvml-blindness": (("tau",), lambda c, **common: run_fvml_packing_blindness(
-        tau=c["tau"], **common
-    )),
+    "rayleigh-blindness": (("marginal",), run_rayleigh_blindness_diagnostic),
+    "bingham-scaling": (("marginal",), run_bingham_scaling_diagnostic),
+    "packing-lln": (("marginal",), run_packing_lln_diagnostic),
+    "independence": ((), run_independence_diagnostic),
+    "fvml-blindness": (("tau",), run_fvml_packing_blindness),
 }
 DIAGNOSE_KINDS = tuple(DIAGNOSTICS)
 # the OPTIONS rows of diagnose that some kinds read and others refuse
@@ -570,13 +568,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     for option in _KIND_OPTIONS:
         if option.name not in reads and config[option.name] != option.default:
             raise CliError(f"diagnose {args.kind} takes no --{option.name}")
-    if config["n"] < 3:
-        raise CliError(f"diagnostics need --n >= 3, got {config['n']}")
+    read = [parse_marginal(config[name]) if name == "marginal" else config[name] for name in reads]
     try:
         # each warning becomes one stderr line, not a source location and line
         with warnings.catch_warnings(record=True) as caught:
             report = run(
-                config, n=config["n"], p=config["p"], replications=config["reps"],
+                config["n"], config["p"], *read, replications=config["reps"],
                 master_seed=config["seed"], level=config["level"], threads=config["threads"],
             )
     except ValueError as exc:

@@ -77,14 +77,11 @@ class ExperimentPlan:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        # the combined test needs the packing p-value, which needs n >= 3
-        if self.n < 3 or self.p < 1:
-            raise ValueError("need n >= 3 and p >= 1")
+        _check_request(self.n, self.p, self.level)
         _check_model_dimension(self.model, self.p)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         SeedSpec(self.master_seed)  # a bad seed is a usage error, not a failed replication
-        _check_request(self.n, self.level)
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,6 @@ class TestAggregate:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    plan: ExperimentPlan
     per_test: dict[str, TestAggregate]
 
 
@@ -198,7 +194,7 @@ def run_rejection_experiment(plan: ExperimentPlan, threads: int = 0) -> Experime
     """
     _, results = _simulate(plan, threads)
     per_test = {name: _aggregate(r.statistic, r.reject) for name, r in results.items()}
-    return ExperimentResult(plan=plan, per_test=per_test)
+    return ExperimentResult(per_test=per_test)
 
 
 def _require_symmetric(marginal: HeavyTailMarginal, what: str) -> None:
@@ -264,12 +260,12 @@ def run_bingham_scaling_diagnostic(
     heavy-tailed limit sd (2-alpha)/sqrt(8*gamma) with gamma = p/n."""
     _require_symmetric(marginal, "bingham scaling diagnostic")
     alpha = _require_tail_index(marginal, "bingham scaling diagnostic")
-    gamma = p / n
     plan = ExperimentPlan(
         n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
         level=level, master_seed=master_seed,
     )
     _require_spread(plan, "bingham scaling diagnostic")
+    gamma = p / n
     _, results = _simulate(plan, threads)
     scaled = math.sqrt(n) / p * results["bingham"].statistic
     theoretical_sd = (2.0 - alpha) / math.sqrt(8.0 * gamma)

@@ -167,13 +167,13 @@ def fisher_combination(
     )
 
 
-def _check_request(n: int, level: float) -> None:
-    """Reject a level or sample size that `evaluate_tests` cannot score."""
+def _check_request(n: int, p: int, level: float) -> None:
+    """Reject a shape or level that `evaluate_tests` cannot score: the one check of both."""
+    # the combined test needs the packing p-value, which needs n >= 3
+    if n < 3 or p < 1:
+        raise ValueError("need n >= 3 and p >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    # the combined test needs the packing p-value
-    if n < 3:
-        raise ValueError("packing/fisher tests need n >= 3")
 
 
 def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArrays]:
@@ -181,7 +181,7 @@ def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArra
 
     Elementwise over the summary's reductions.
     """
-    _check_request(summary.n, level)
+    _check_request(summary.n, summary.p, level)
     out: dict[str, TestArrays] = {}
     for name, statistic, law in _COMPONENTS:
         stat = statistic(summary)

@@ -447,7 +447,8 @@ class TestExitCodes:
             (("size-table", "--reps", "0"), "replications must be >= 1"),
             (("size-table", "--reps", "1", "--threads", "-1"), "threads must be >= 0"),
             (("size-table", "--reps", "1", "--scenarios", "2x3"), "need n >= 3"),
-            (("diagnose", "packing-lln", "--n", "2", "--reps", "5"), "--n >= 3"),
+            # the plan's own check, the one check of n and p
+            (("diagnose", "packing-lln", "--n", "2", "--reps", "5"), "need n >= 3"),
             *((("diagnose", kind, "--reps", reps), "replications must be >= 1")
               for kind in DIAGNOSE_KINDS for reps in ("0", "-3")),
             # a standard deviation or a correlation needs two replications
@@ -464,6 +465,8 @@ class TestExitCodes:
             (("size-table", "--format", "xml"), "--format: bad value 'xml'"),
             (("diagnose", "independence", "--marginal", "bogus"), "--marginal: bad value 'bogus'"),
             (("sample", "--model", "fvml", "--marginal", "bogus"), "--marginal: bad value 'bogus'"),
+            (("size-table", "--scenarios", "1x"), "--scenarios: bad value '1x'"),
+            (("size-table", "--scenarios", "5x3,05X3"), "--scenarios: bad value '5x3,05X3'"),
             # sample refuses an option its model does not read
             *((("sample", "--model", model, "--marginal", "cauchy", "--n", "3", "--p", "2"),
                f"--model {model} takes no --marginal") for model in ("uniform", "fvml")),
@@ -485,6 +488,7 @@ class TestExitCodes:
              "fvml-tau-nan", "fvml-tau-inf", "fvml-kappa-overflow",
              "flag-n-text", "flag-model-bogus", "flag-format-xml",
              "flag-diagnose-marginal-bogus", "flag-sample-marginal-bogus",
+             "flag-scenarios-token", "flag-scenarios-repeated",
              "uniform-marginal", "fvml-marginal", "uniform-kappa", "alpha-spherical-kappa",
              "independence-tau", "independence-marginal", "fvml-blindness-marginal",
              "packing-lln-tau"],
@@ -578,12 +582,18 @@ class TestConfigFile:
             # a marginal spec is checked wherever it is given
             (("diagnose", "independence"), {"marginal": "bogus"}, "'marginal'"),
             (("sample",), {"marginal": 5}, "'marginal'"),
+            # so is a scenario list
+            (("size-table", "--reps", "1"), {"scenarios": "1x"}, "'scenarios'"),
+            (("size-table", "--reps", "1"), {"scenarios": 5}, "'scenarios'"),
+            (("size-table", "--reps", "1"), {"scenarios": "5x3,05X3"}, "'scenarios'"),
         ],
         ids=["sample-n-text", "sample-n-fraction", "sample-kappa-list",
              "size-table-reps", "size-table-format", "diagnose-n", "diagnose-tau",
              "sample-model-alias", "sample-model-padded", "sample-n-bool", "sample-p-bool",
              "sample-kappa-bool", "size-table-reps-bool", "size-table-level-bool",
-             "diagnose-tau-bool", "diagnose-marginal-bogus", "sample-marginal-number"],
+             "diagnose-tau-bool", "diagnose-marginal-bogus", "sample-marginal-number",
+             "size-table-scenarios-token", "size-table-scenarios-number",
+             "size-table-scenarios-repeated"],
     )
     def test_wrong_type_value_is_exit_2(self, tmp_path, capsys, argv, doc, key):
         cfg = tmp_path / "cfg.json"

@@ -23,14 +23,6 @@ COMMAND_OPTIONS = {
     "diagnose": ("n", "p", "marginal", "tau", "reps", "level", "seed", "threads"),
 }
 
-DIAGNOSTIC_FUNCTIONS = {
-    "rayleigh-blindness": "run_rayleigh_blindness_diagnostic",
-    "bingham-scaling": "run_bingham_scaling_diagnostic",
-    "packing-lln": "run_packing_lln_diagnostic",
-    "independence": "run_independence_diagnostic",
-    "fvml-blindness": "run_fvml_packing_blindness",
-}
-
 # a value for each option that is cheap to run and differs from its default
 VALUES = {
     "scenarios": "5x3",
@@ -115,7 +107,7 @@ class TestConfigAtDefaults:
         assert all((plan.replications, plan.level, plan.master_seed, threads) == (2000, 0.05, 0, 0)
                    for plan, threads in plans)
 
-    @pytest.mark.parametrize("kind", sorted(DIAGNOSTIC_FUNCTIONS))
+    @pytest.mark.parametrize("kind", sorted(cli.DIAGNOSTICS))
     def test_diagnose(self, tmp_path, monkeypatch, kind):
         calls = []
 
@@ -123,10 +115,14 @@ class TestConfigAtDefaults:
             calls.append((args, kwargs))
             return SimpleNamespace(kind=kind, metrics={"x": 1.0})
 
-        monkeypatch.setattr(cli, DIAGNOSTIC_FUNCTIONS[kind], fake)
+        reads, _ = cli.DIAGNOSTICS[kind]
+        monkeypatch.setitem(cli.DIAGNOSTICS, kind, (reads, fake))
         out = tmp_path / "d.json"
         assert main(["diagnose", kind, "--out", str(out)]) == 0
         assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert args[:2] == (100, 100) and len(args) == 2 + len(reads)
+        assert kwargs == {"replications": 2000, "master_seed": 0, "level": 0.05, "threads": 0}
         assert list(embedded_config(out).items()) == [
             ("command", "diagnose"), ("kind", kind), ("n", 100), ("p", 100),
             ("marginal", "cauchy"), ("tau", 1.0), ("reps", 2000), ("level", 0.05),

@@ -59,6 +59,31 @@ class TestPlanValidation:
         assert tuple(result.per_test) == TEST_NAMES
 
 
+# each diagnostic with the argument it takes after n and p, if any
+DIAGNOSTIC_CALLS = {
+    "rayleigh-blindness": (run_rayleigh_blindness_diagnostic, (CAUCHY,)),
+    "bingham-scaling": (run_bingham_scaling_diagnostic, (CAUCHY,)),
+    "packing-lln": (run_packing_lln_diagnostic, (CAUCHY,)),
+    "independence": (run_independence_diagnostic, ()),
+    "fvml-blindness": (run_fvml_packing_blindness, (1.0,)),
+}
+
+
+class TestShapeCheck:
+    @pytest.mark.parametrize("n, p", [(0, 5), (2, 5), (5, 0)], ids=["n0", "n2", "p0"])
+    @pytest.mark.parametrize("kind", DIAGNOSTIC_CALLS)
+    def test_every_diagnostic_refuses_the_shape_before_using_it(self, kind, n, p):
+        # the plan is built before any arithmetic on n or p, so n = 0 divides nothing
+        run, read = DIAGNOSTIC_CALLS[kind]
+        with pytest.raises(ValueError, match=r"need n >= 3 and p >= 1"):
+            run(n, p, *read, replications=10, master_seed=1, level=0.05, threads=1)
+
+    def test_run_all_tests_gives_the_same_message(self):
+        sample = sample_from_model(UNIFORM, 2, 4, SeedSpec(1))
+        with pytest.raises(ValueError, match=r"need n >= 3 and p >= 1"):
+            run_all_tests(sample)
+
+
 class TestRejectionExperiment:
     def test_single_replication_rate_is_binary(self):
         res = run_rejection_experiment(small_plan(replications=1), threads=1)

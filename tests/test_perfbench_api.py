@@ -4,7 +4,9 @@ perfbench's own tests run the benchmark end to end and take minutes; this
 reads its source with `ast` and checks, in milliseconds, that every
 sphereuni name it imports resolves, that every attribute it takes from an
 imported sphereuni module exists, and that the result fields it reads are
-still there.  Nothing under perfbench/ is imported or changed.
+still there.  A string constant that holds Python code, such as a
+`python -c` snippet, is read the same way.  Nothing under perfbench/ is
+imported or changed.
 """
 
 import ast
@@ -24,7 +26,8 @@ SOURCES = sorted(PERFBENCH.glob("*.py"))
 def sphereuni_uses(tree: ast.Module) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """(module, name) pairs imported from sphereuni (name "" for a module
     itself), and (module, attribute) pairs read or set through a name bound
-    to a sphereuni module."""
+    to a sphereuni module, in `tree` and in each string constant of it that
+    parses as Python, each read in its own scope."""
     imported, modules = [], {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -49,6 +52,15 @@ def sphereuni_uses(tree: ast.Module) -> tuple[list[tuple[str, str]], list[tuple[
         and isinstance(node.value, ast.Name)
         and node.value.id in modules
     ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                code = ast.parse(node.value)
+            except SyntaxError:
+                continue
+            more_imported, more_attributes = sphereuni_uses(code)
+            imported += more_imported
+            attributes += more_attributes
     return imported, attributes
 
 
@@ -73,6 +85,16 @@ def test_guard_finds_what_child_uses():
     assert {("sphereuni.cli", "main"), ("sphereuni.oracles", "brute_statistics")} <= set(attributes)
 
 
+def test_guard_finds_what_run_py_snippets_use():
+    # run.py reaches sphereuni only through `python -c` snippets
+    imported, attributes = sphereuni_uses(
+        ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    )
+    assert ("sphereuni.cli", "") in imported
+    assert ("sphereuni.cli", "main") in attributes
+
+
 def test_aggregate_keeps_the_fields_perfbench_reads():
     fields = {f.name for f in dataclasses.fields(experiments.TestAggregate)}
     assert fields >= {"rejections", "rate", "stat_mean"}
+    assert "per_test" in {f.name for f in dataclasses.fields(experiments.ExperimentResult)}
