@@ -322,8 +322,8 @@ def run_independence_diagnostic(
     n: int,
     p: int,
     replications: int,
-    level: float,
     master_seed: int,
+    level: float = 0.05,
     threads: int = 0,
 ) -> DiagnosticReport:
     """Pairwise correlations and the joint-below-medians probability of

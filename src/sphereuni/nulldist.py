@@ -6,11 +6,14 @@ the packing statistic follows a Gumbel-type law with CDF
     G(x) = exp(-(8*pi)**-0.5 * exp(-x/2)).
 
 All three tests reject in the upper tail, so p-values are survival
-probabilities.  The normal CDF goes through the complementary error
-function (scipy's ``ndtr``/``ndtri``), which stays accurate deep in both
-tails; the Gumbel law has closed forms throughout.
+probabilities.  ``stats`` scores each test through a ``p_value(statistic,
+n, p)``; the two here, ``normal_p_value`` and ``gumbel_p_value``, are limit
+laws that read neither n nor p, and ``upper_p_value(law, statistic)`` picks
+one by law.  The normal CDF goes through the complementary error function
+(scipy's ``ndtr``/``ndtri``), which stays accurate deep in both tails; the
+Gumbel law has closed forms throughout.
 
-``cdf`` and ``upper_p_value`` work elementwise: a scalar argument gives a
+``cdf`` and the p-values work elementwise: a scalar argument gives a
 float, an array gives an array.  Scalars go through the same numpy code
 as arrays, so a p-value computed for one sample is bit-identical to the
 same entry of a vectorized Monte Carlo run.
@@ -24,7 +27,8 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-__all__ = ["NullLaw", "cdf", "quantile", "upper_p_value", "GUMBEL_RATE"]
+__all__ = ["NullLaw", "cdf", "quantile", "upper_p_value", "GUMBEL_RATE",
+           "normal_p_value", "gumbel_p_value"]
 
 # (8*pi)**-0.5, the rate constant in front of exp(-x/2)
 GUMBEL_RATE = 1.0 / math.sqrt(8.0 * math.pi)
@@ -74,13 +78,23 @@ def quantile(law: NullLaw, u: float) -> float:
     return -2.0 * math.log(-math.log(u) / GUMBEL_RATE)
 
 
-def upper_p_value(law: NullLaw, statistic):
-    """Upper-tail p-value 1 - cdf(law, statistic), clamped to [0, 1]."""
-    values = _as_array(statistic, "statistic")
-    if law is NullLaw.STANDARD_NORMAL:
-        p = ndtr(-values)
-    else:
-        # 1 - exp(-term) via expm1 keeps precision when G is near 1
-        p = -np.expm1(-_gumbel_tail_term(values))
+def _clamped(p: np.ndarray) -> float | np.ndarray:
     # minimum/maximum rather than np.clip, whose Python overhead dominates a scalar call
     return _unwrap(np.minimum(np.maximum(p, 0.0), 1.0))
+
+
+def normal_p_value(statistic, n: int, p: int):
+    """Upper-tail p-value under N(0, 1), clamped to [0, 1]; reads neither n nor p."""
+    return _clamped(ndtr(-_as_array(statistic, "statistic")))
+
+
+def gumbel_p_value(statistic, n: int, p: int):
+    """Upper-tail p-value under the packing Gumbel law, clamped to [0, 1]; reads neither n nor p."""
+    # 1 - exp(-term) via expm1 keeps precision when G is near 1
+    return _clamped(-np.expm1(-_gumbel_tail_term(_as_array(statistic, "statistic"))))
+
+
+def upper_p_value(law: NullLaw, statistic):
+    """Upper-tail p-value 1 - cdf(law, statistic), clamped to [0, 1], by the law's row function."""
+    p_value = normal_p_value if law is NullLaw.STANDARD_NORMAL else gumbel_p_value
+    return p_value(statistic, n=None, p=None)

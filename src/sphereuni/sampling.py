@@ -3,10 +3,9 @@
 Covers the uniform null, projections of i.i.d. heavy-tailed coordinates
 (Cauchy, Student-t, symmetrized Pareto, centered chi-square), and the
 Fisher-von Mises-Langevin family.  One body draws every model into a
-block of samples, each from its own SeedSpec stream.  An FvML sample is
-finished in its own draw; the other models' raw rows are normalized for
-the whole block at once.  ``sample_from_model`` is a block of one, and the
-per-model samplers are wrappers around it.  Every sampler is a pure
+block of samples, each from its own SeedSpec stream, and normalizes the
+rows of the whole block at once.  ``sample_from_model`` is a block of one,
+and the per-model samplers are wrappers around it.  Every sampler is a pure
 function of its arguments and a SeedSpec, so identical calls give
 bit-identical samples no matter where, when or in which block they run.
 """
@@ -338,11 +337,7 @@ def _check_model_dimension(model: AlternativeModel, p: int) -> None:
 
 
 def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray) -> None:
-    """Draw one sample's rows into `out`, an (n, p) array, from `seed`'s stream alone.
-
-    Uniform and alpha-spherical rows are left raw, for `_sample_block` to
-    normalize; an FvML sample is finished here, as unit rows.
-    """
+    """Draw one sample's rows, not yet normalized, into the (n, p) `out` from `seed`'s stream."""
     rng = seed.generator()
     n = out.shape[0]
     if model.kind == "uniform":
@@ -361,23 +356,20 @@ def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray)
         out[...] = x - np.outer(x @ mu, mu)
         _normalize_rows(out, "fvml sampler")
         out[...] = t[:, None] * mu[None, :] + np.sqrt(1.0 - t * t)[:, None] * out
-        out /= _row_norms(out)[:, None]
 
 
 def _sample_block(model: AlternativeModel, p: int, seeds, out: np.ndarray) -> None:
     """Fill out[k] with unit rows of the model drawn from seeds[k]'s stream alone.
 
-    `out` is a C-contiguous (B, n, p) block.  FvML samples come finished from
-    their draws; the other models' norms, zero-norm rows and rows whose norm
-    overflows are handled once for the whole block, row by row, so each
-    sample has the bits it has in a block of one.
+    `out` is a C-contiguous (B, n, p) block.  Norms, zero-norm rows and rows
+    whose norm overflows are handled once for the whole block, row by row,
+    so each sample has the bits it has in a block of one.
     """
     for seed, rows in zip(seeds, out):
         _draw_rows(model, p, seed, rows)
-    if model.kind != "fvml":
-        # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
-        with np.errstate(over="ignore"):
-            _normalize_rows(out, f"{model.kind} sampler")
+    # coordinates at or near inf overflow their row norm; _normalize_rows maps those rows
+    with np.errstate(over="ignore"):
+        _normalize_rows(out, f"{model.kind} sampler")
 
 
 def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -> SphericalSample:

@@ -6,11 +6,13 @@ For a sample X_1..X_n on S^{p-1} with pairwise inner products g_ij:
     bingham  = p/n * sum_{i<j} (g_ij^2 - 1/p)
     packing  = p * max_{i<j} g_ij^2 - 4*log(n) + log(log(n))
 
-All three reject in the upper tail.  The combination test rejects when
-the smallest of the three upper-tail p-values drops below
-1 - (1-level)^(1/3), which is level-exact under asymptotic independence:
-Tippett's min-p rule with a Sidak cutoff.  It keeps the name "fisher" in
-its outputs.
+All three reject in the upper tail.  Each is a ``_COMPONENTS`` row (name,
+statistic, p_value), whose ``p_value(statistic, n, p)`` is the upper tail
+of the test's null law; the default laws (``nulldist``) read neither n nor
+p.  The combination test rejects when the smallest of the three p-values
+drops below 1 - (1-level)^(1/3), which is level-exact under asymptotic
+independence: Tippett's min-p rule with a Sidak cutoff.  It keeps the name
+"fisher" in its outputs.
 
 The statistics work elementwise on a PairwiseSummary whose reductions are
 floats (one sample) or (R,) arrays (R Monte Carlo replications), and
@@ -21,14 +23,12 @@ rejections for both ``run_all_tests`` and the replication engine.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels, nulldist
-from .nulldist import NullLaw
 from .sampling import SphericalSample
 
 __all__ = [
@@ -106,24 +106,15 @@ def bingham_statistic(summary: PairwiseSummary) -> float | np.ndarray:
 
 
 def packing_statistic(summary: PairwiseSummary) -> float | np.ndarray:
-    n = summary.n
-    if n < 2:
-        raise ValueError("packing statistic needs n >= 2")
-    if n == 2:
-        warnings.warn(
-            "packing statistic at n=2 is algebraically defined but its "
-            "Gumbel null is meaningless",
-            stacklevel=2,
-        )
-    m = summary.max_abs_inner
+    n, m = summary.n, summary.max_abs_inner
     return summary.p * m * m - 4.0 * math.log(n) + math.log(math.log(n))
 
 
-# the three component tests: statistic and the null law of its p-value
+# the three component tests: statistic and p_value(statistic, n, p) under its null law
 _COMPONENTS = (
-    ("rayleigh", rayleigh_statistic, NullLaw.STANDARD_NORMAL),
-    ("bingham", bingham_statistic, NullLaw.STANDARD_NORMAL),
-    ("packing", packing_statistic, NullLaw.PACKING_GUMBEL),
+    ("rayleigh", rayleigh_statistic, nulldist.normal_p_value),
+    ("bingham", bingham_statistic, nulldist.normal_p_value),
+    ("packing", packing_statistic, nulldist.gumbel_p_value),
 )
 
 
@@ -183,9 +174,9 @@ def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArra
     """
     _check_request(summary.n, summary.p, level)
     out: dict[str, TestArrays] = {}
-    for name, statistic, law in _COMPONENTS:
+    for name, statistic, p_value in _COMPONENTS:
         stat = statistic(summary)
-        p = nulldist.upper_p_value(law, stat)
+        p = p_value(stat, summary.n, summary.p)
         out[name] = TestArrays(statistic=stat, p_value=p, reject=p <= level)
     out["fisher"] = _fisher(*(r.p_value for r in out.values()), level)
     return out

@@ -105,7 +105,7 @@ def table2():
 def independence():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_independence_diagnostic(100, 100, REPS, LEVEL, SEED + 7, threads=THREADS)
+        return run_independence_diagnostic(100, 100, REPS, SEED + 7, LEVEL, threads=THREADS)
 
 
 def test_criterion1_sizes_rayleigh_bingham_fisher(table1):

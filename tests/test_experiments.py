@@ -1,12 +1,14 @@
+import json
 import math
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sphereuni import _kernels, _parallel, experiments, sampling
+from sphereuni import _kernels, _parallel, cli, experiments, sampling
 from sphereuni.experiments import (
     TEST_NAMES,
     DiagnosticReport,
@@ -178,7 +180,7 @@ class TestIndependence:
     def test_metric_names_and_ranges(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = run_independence_diagnostic(40, 30, 200, 0.05, 5, threads=2)
+            rep = run_independence_diagnostic(40, 30, 200, 5, 0.05, threads=2)
         assert set(rep.metrics) == {
             "corr_rb",
             "corr_rp",
@@ -192,7 +194,7 @@ class TestIndependence:
 
     def test_warns_when_p_is_small_for_regime(self):
         with pytest.warns(UserWarning, match="asymptotic regime"):
-            run_independence_diagnostic(40, 10, 20, 0.05, 6, threads=1)
+            run_independence_diagnostic(40, 10, 20, 6, 0.05, threads=1)
 
 
 class TestFvmlBlindness:
@@ -402,3 +404,34 @@ class TestEngine:
     def test_bad_master_seed_is_value_error(self):
         with pytest.raises(ValueError, match="master_seed"):
             run_rejection_experiment(small_plan(master_seed=-1), threads=1)
+
+
+class TestReferenceCounts:
+    """The engine reproduces every rejection count that perfbench/reference.json
+    records, so a drift in a default p-value fails here before the benchmark."""
+
+    REFERENCE = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text(encoding="utf-8")
+    )
+    MODELS = {
+        "size-table": [("-", UNIFORM)],
+        "power-table": [
+            (cli.marginal_label(m), AlternativeModel.alpha_spherical(m))
+            for m in experiments.POWER_MARGINALS
+        ],
+    }
+
+    @pytest.mark.parametrize("threads", [1, 0])
+    @pytest.mark.parametrize("table", ["size-table", "power-table"])
+    def test_counts_match(self, table, threads):
+        counts = {}
+        for label, model in self.MODELS[table]:
+            for n, p in experiments.TABLE1_SCENARIOS:
+                plan = ExperimentPlan(
+                    n=n, p=p, model=model, replications=self.REFERENCE["reps"],
+                    level=0.05, master_seed=self.REFERENCE["master_seed"],
+                )
+                result = run_rejection_experiment(plan, threads=threads)
+                for test, agg in result.per_test.items():
+                    counts[f"{test}|{label}|{n}x{p}"] = agg.rejections
+        assert counts == self.REFERENCE[table]

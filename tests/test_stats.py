@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from sphereuni import _kernels, _parallel
+from sphereuni import _kernels, _parallel, stats
+from sphereuni.nulldist import NullLaw, upper_p_value
 from sphereuni.oracles import brute_statistics, random_rotation
 from sphereuni.sampling import SeedSpec, SphericalSample, sample_uniform_sphere
 from sphereuni.stats import (
@@ -225,18 +226,12 @@ class TestBingham:
 class TestPacking:
     def test_identical_rows_closed_form(self):
         # 4 - 4 log 2 + log log 2, thirty-digit value
-        with pytest.warns(UserWarning):
-            got = packing_statistic(pairwise_summary(identical_rows(2, 4)))
+        got = packing_statistic(pairwise_summary(identical_rows(2, 4)))
         assert got == pytest.approx(0.8608983571785544, abs=1e-12)
 
     def test_orthogonal_rows_closed_form(self):
-        with pytest.warns(UserWarning):
-            got = packing_statistic(pairwise_summary(basis_rows(5)))
+        got = packing_statistic(pairwise_summary(basis_rows(5)))
         assert got == pytest.approx(-3.1391016428214456, abs=1e-12)
-
-    def test_n2_warns(self):
-        with pytest.warns(UserWarning, match="n=2"):
-            packing_statistic(pairwise_summary(identical_rows(2, 4)))
 
     def test_n3_does_not_warn(self):
         import warnings
@@ -244,6 +239,35 @@ class TestPacking:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             packing_statistic(pairwise_summary(identical_rows(3, 4)))
+
+
+class TestComponentRows:
+    """Each `_COMPONENTS` row's p_value(statistic, n, p) has the bits of
+    `upper_p_value` under the test's NullLaw, the lookup perfbench times."""
+
+    LAWS = {
+        "rayleigh": NullLaw.STANDARD_NORMAL,
+        "bingham": NullLaw.STANDARD_NORMAL,
+        "packing": NullLaw.PACKING_GUMBEL,
+    }
+    # +-8: deep in the normal tail, where 1 - cdf would lose the bits that ndtr(-x) keeps
+    GRID = [0.0, 1e-300, -1e-300, 1.0, -1.0, 8.0, -8.0, 40.0, -40.0, 1e300, -1e300]
+
+    def test_rows_are_the_three_components(self):
+        assert [name for name, _, _ in stats._COMPONENTS] == list(self.LAWS)
+
+    @pytest.mark.parametrize("n, p", [(3, 1), (100, 100)])
+    def test_row_matches_lookup_bit_for_bit(self, n, p):
+        for name, _, p_value in stats._COMPONENTS:
+            law = self.LAWS[name]
+            for x in self.GRID:
+                got, want = p_value(x, n, p), upper_p_value(law, x)
+                assert isinstance(got, float) and 0.0 <= got <= 1.0
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+            got = p_value(np.array(self.GRID), n, p)
+            want = upper_p_value(law, np.array(self.GRID))
+            assert np.all((got >= 0.0) & (got <= 1.0))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFisherCombination:
