@@ -1,8 +1,10 @@
 """One ordered thread map and one process-wide OpenBLAS pin.
 
-The replication engine maps blocks of replications over threads.  numpy
-releases the interpreter lock inside BLAS, the random generators and
-ufunc loops over large arrays, so the threads overlap that native work.
+The replication engine maps blocks of replications over threads for their
+side effects.  A block whose sampler fails or whose reductions are not
+finite raises, which cancels blocks not yet started.  numpy releases the
+interpreter lock inside BLAS, the random generators and ufunc loops over
+large arrays, so the threads overlap that native work.
 
 While any kernel call runs, numpy's bundled OpenBLAS is pinned to one
 thread.  Each of our threads issues its own small matrix products, which
@@ -19,13 +21,8 @@ import functools
 import os
 import threading
 from collections.abc import Callable, Iterable
-from typing import TypeVar
 
 __all__ = ["blas_pin", "resolve_workers", "thread_map"]
-
-T = TypeVar("T")
-R = TypeVar("R")
-W = TypeVar("W")
 
 
 def _available_cpus() -> int:
@@ -44,32 +41,31 @@ def resolve_workers(threads: int, items: int | None = None) -> int:
     return workers if items is None else max(1, min(workers, items))
 
 
-def thread_map(fn: Callable[[T, W], R], items: Iterable[T], workspaces: list[W]) -> list[R]:
-    """[fn(x, w) for x in items] on one thread per workspace, the caller's among them.
+def thread_map(fn: Callable[..., object], items: Iterable, workspaces: list) -> None:
+    """fn(x, w) for each x in items, for their side effects.
 
-    Each call gets a workspace w that no other running call holds.  The
-    caller makes the workspaces in its own thread, so their memory comes
-    and goes with the caller's, not with short-lived threads' allocators.
-    Items start in order and results come back in item order.  When a call
-    raises, no further item starts, and once the running calls finish the
-    exception of the first item in order that raised is re-raised: every
-    earlier item had started, and ran to the end.
+    One thread runs per workspace, the caller's among them, and each call
+    gets a workspace w that no other running call holds.  The caller makes
+    the workspaces in its own thread, so their memory comes and goes with
+    the caller's, not with short-lived threads' allocators.  Items start in
+    order.  When a call raises, no further item starts, and once the
+    running calls finish the exception of the first item in order that
+    raised is re-raised: every earlier item had started, and ran to the end.
     """
     items = list(items)
-    results: list = [None] * len(items)
     failed: dict[int, BaseException] = {}
     stop = threading.Event()
     lock = threading.Lock()
     order = iter(range(len(items)))
 
-    def work(workspace: W) -> None:
+    def work(workspace) -> None:
         while not stop.is_set():
             with lock:
                 i = next(order, None)
             if i is None:
                 return
             try:
-                results[i] = fn(items[i], workspace)
+                fn(items[i], workspace)
             except BaseException as exc:  # re-raised in the calling thread below
                 failed[i] = exc
                 stop.set()
@@ -87,7 +83,6 @@ def thread_map(fn: Callable[[T, W], R], items: Iterable[T], workspaces: list[W])
             helper.join()
     if failed:
         raise failed[min(failed)]
-    return results
 
 
 @functools.cache

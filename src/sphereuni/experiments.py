@@ -15,6 +15,9 @@ CPU when it is 0, never more than there are blocks.  Each worker fills its
 own (B, n, p) block buffer; the block's norms, unit-norm check and Gram
 reductions run once per block.  Replication i depends on i alone, so
 results are bit-identical for every worker count and block split.
+A replication whose sampler fails or whose reductions are not finite
+fails its block, which cancels blocks not yet started; the ``RuntimeError``
+names the lowest failing replication.
 """
 
 from __future__ import annotations
@@ -152,20 +155,19 @@ def _simulate(
                     ) from alone
             first, last = seeds[0].replication_index, seeds[-1].replication_index
             raise RuntimeError(f"replications {first}..{last} failed: {exc}") from exc
-        reductions[start : start + len(block)] = _kernels.pairwise_reduce(block)
+        out = _kernels.pairwise_reduce(block)
+        if not np.isfinite(out).all():
+            k = int(np.isfinite(out).all(axis=1).argmin())  # the first row with a non-finite value
+            raise RuntimeError(
+                f"replication {seeds[k].replication_index} failed: "
+                f"pairwise reductions {out[k].tolist()} are not finite"
+            )
+        reductions[start : start + len(block)] = out
 
     starts = range(0, reps, size)
     blocks = [np.empty((size, n, p)) for _ in range(_resolve_workers(threads, len(starts)))]
     with blas_pin:
         thread_map(run_block, starts, blocks)
-
-    bad = np.flatnonzero(~np.isfinite(reductions).all(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        raise RuntimeError(
-            f"replication {seed_offset + k} failed: "
-            f"pairwise reductions {reductions[k].tolist()} are not finite"
-        )
     summary = PairwiseSummary(
         n=n, p=p, sum_inner=reductions[:, 0], sum_inner_sq=reductions[:, 1],
         max_abs_inner=reductions[:, 2],

@@ -184,6 +184,7 @@ def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArra
 
 def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutcome]:
     """Compute all four test outcomes from one pairwise pass."""
+    _check_request(sample.n, sample.p, level)  # before the O(n^2 p) kernel, not after it
     results = evaluate_tests(pairwise_summary(sample), level)
     return [
         TestOutcome(

@@ -36,6 +36,22 @@ def small_plan(**overrides):
     return ExperimentPlan(**base)
 
 
+def poison_reductions(monkeypatch, plan, index):
+    """Make the kernel's max |g| NaN for replication `index` of `plan`, wherever it runs."""
+    seed = SeedSpec(plan.master_seed, index)
+    target = sample_from_model(plan.model, plan.n, plan.p, seed).rows
+    real = _kernels.pairwise_reduce
+
+    def poisoned(stack):
+        out = real(stack)
+        for k, rows in enumerate(stack):
+            if np.array_equal(rows, target):
+                out[k, 2] = math.nan
+        return out
+
+    monkeypatch.setattr(_kernels, "pairwise_reduce", poisoned)
+
+
 class TestPlanValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -294,6 +310,41 @@ class TestReplicationErrorAnnotation:
         with pytest.raises(RuntimeError, match="replication 0 failed"):
             run_rejection_experiment(plan, threads=2)
         # the block in flight on the other worker, and perhaps one more, still run
+        assert len(drawn) <= 4 * 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_reductions_follow_the_lowest_failure_rule(self, monkeypatch, threads):
+        # replication 3 (first block) has NaN reductions, replication 20 (third block)
+        # fails in its sampler: the lower one is named, as between two sampler failures
+        plan = small_plan(n=5, p=3, replications=40)
+        assert experiments._block_size(5, 3) == 8
+        poison_reductions(monkeypatch, plan, 3)
+        real = sampling._draw_rows
+
+        def failing(model, p, seed, out):
+            if seed.replication_index == 20:
+                raise ValueError("synthetic sampler failure")
+            return real(model, p, seed, out)
+
+        monkeypatch.setattr(sampling, "_draw_rows", failing)
+        with pytest.raises(RuntimeError, match=r"replication 3 failed: pairwise reductions"):
+            run_rejection_experiment(plan, threads=threads)
+
+    def test_non_finite_reductions_cancel_pending_blocks(self, monkeypatch):
+        plan = small_plan(n=5, p=3, replications=400)  # 50 blocks of 8
+        poison_reductions(monkeypatch, plan, 0)
+        real = sampling._draw_rows
+        drawn = []
+
+        def slow(model, p, seed, out):
+            drawn.append(seed.replication_index)
+            time.sleep(0.002)
+            return real(model, p, seed, out)
+
+        monkeypatch.setattr(sampling, "_draw_rows", slow)
+        with pytest.raises(RuntimeError, match=r"replication 0 failed: pairwise reductions"):
+            run_rejection_experiment(plan, threads=2)
+        # the failing block, the block in flight on the other worker, and perhaps one more
         assert len(drawn) <= 4 * 8
 
     def test_block_failure_no_sample_repeats_stays_runtime_error(self, monkeypatch):

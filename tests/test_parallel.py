@@ -10,6 +10,7 @@ from sphereuni import _parallel
 
 def test_thread_map_runs_each_item_once_in_order_under_contention():
     calls = collections.Counter()
+    started = []
     threads = set()
     in_use = set()
     clashes = []
@@ -21,28 +22,35 @@ def test_thread_map_runs_each_item_once_in_order_under_contention():
                 clashes.append(workspace)
             in_use.add(workspace)
             calls[x] += 1
+            started.append(x)
             threads.add(threading.get_ident())
         time.sleep(0)  # hand the interpreter to another worker mid-call
         with lock:
             in_use.discard(workspace)
-        return x * x
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = _parallel.thread_map(fn, range(2000), list(range(8)))
+        assert _parallel.thread_map(fn, range(2000), list(range(8))) is None
     finally:
         sys.setswitchinterval(interval)
-    assert out == [x * x for x in range(2000)]
     assert len(calls) == 2000 and set(calls.values()) == {1}
+    # items start in order: when item x starts, each earlier item not yet seen is
+    # held by one of the 7 other workers
+    assert max(x - k for k, x in enumerate(started)) <= 7
     assert not clashes  # no workspace was held by two calls at once
     assert len(threads) > 1
 
 
 def test_thread_map_with_one_workspace_runs_in_the_caller():
     caller = threading.get_ident()
-    out = _parallel.thread_map(lambda x, w: (x, w, threading.get_ident()), [1, 2], ["w"])
-    assert out == [(1, "w", caller), (2, "w", caller)]
+    calls = []
+
+    def fn(x, workspace):
+        calls.append((x, workspace, threading.get_ident()))
+
+    assert _parallel.thread_map(fn, [1, 2], ["w"]) is None
+    assert calls == [(1, "w", caller), (2, "w", caller)]
 
 
 def test_thread_map_with_one_workspace_stops_at_the_first_failure():

@@ -332,6 +332,17 @@ class TestRunAllTests:
         with pytest.raises(ValueError):
             run_all_tests(identical_rows(5, 5), 1.5)
 
+    def test_checks_the_request_before_the_kernel(self, monkeypatch):
+        def unreachable(stack):
+            raise AssertionError("the kernel ran before the request was checked")
+
+        monkeypatch.setattr(_kernels, "pairwise_reduce", unreachable)
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            run_all_tests(identical_rows(5, 5), 1.5)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match=r"^need n >= 3 and p >= 1$"):
+                run_all_tests(identical_rows(n, 5), 0.05)
+
 
 class TestInvariances:
     def test_row_permutation(self):
