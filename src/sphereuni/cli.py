@@ -7,10 +7,10 @@
     sphereuni diagnose independence --n 100 --p 100
 
 Every command accepts --config pointing at a flat JSON document whose
-keys mirror the flags; explicit flags win.  Both come from one table,
-OPTIONS, which also orders the fully resolved config that is embedded in
-every output artifact ("# config=" comment lines in CSV, a "config" field
-in JSON), so any artifact can be reproduced from itself.
+keys mirror the flags of any command; explicit flags win.  Both come from
+one table, OPTIONS, which also orders the fully resolved config that is
+embedded in every output artifact ("# config=" comment lines in CSV, a
+"config" field in JSON), so any artifact can be reproduced from itself.
 Exit codes: 0 success, 2 usage/config/data error, 1 internal error.
 """
 
@@ -151,6 +151,9 @@ OPTIONS = (
     Option("threads", _integer, 0, (*_TABLES, "diagnose")),
     _choice("format", ("csv", "json"), "csv", ("test", *_TABLES)),
 )
+# what a config file may hold: any command's option, and the fields a command
+# derives into its artifact's `config`, so every artifact's config feeds back
+_CONFIG_KEYS = {o.name for o in OPTIONS} | {"command", "input", "kind", "marginals"}
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -158,11 +161,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
     Each value is the flag's text if given, else the config-file value,
     through the row's converter; a null config value counts as unset and
-    gives the default.  A refused value is a CliError naming `--<name>` or
-    `config key '<name>'`.  An unwritable `--out` is refused here, before
-    the command does any work.
+    gives the default.  A refused value, or a config key outside
+    _CONFIG_KEYS, is a CliError naming `--<name>` or `config key '<name>'`.
+    An unwritable `--out` is refused here, before the command does any work.
     """
     config_file = _load_config(args.config)
+    for key in config_file:
+        if key not in _CONFIG_KEYS:
+            raise CliError(f"config key {key!r} is not an option of any command")
     config = {"command": args.command}
     for option in OPTIONS:
         if args.command not in option.commands:
@@ -569,17 +575,19 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         if option.name not in reads and config[option.name] != option.default:
             raise CliError(f"diagnose {args.kind} takes no --{option.name}")
     read = [parse_marginal(config[name]) if name == "marginal" else config[name] for name in reads]
-    try:
-        # each warning becomes one stderr line, not a source location and line
-        with warnings.catch_warnings(record=True) as caught:
+    # each warning becomes one stderr line, not a source location and line, and
+    # they print also when the run raises, ahead of main()'s error line
+    with warnings.catch_warnings(record=True) as caught:
+        try:
             report = run(
                 config["n"], config["p"], *read, replications=config["reps"],
                 master_seed=config["seed"], level=config["level"], threads=config["threads"],
             )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
     _write_json(args.out, config, {"kind": report.kind, "metrics": report.metrics})
     return 0

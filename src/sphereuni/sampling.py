@@ -63,7 +63,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     ``np.linalg.norm(rows, axis=-1)`` but no temporary of the size of `rows`:
     chunks of rows are squared into one scratch buffer of at most
     max(_NORM_CHUNK, p) floats, and each row sums as it does in one call."""
-    flat = rows.reshape(-1, rows.shape[-1])
+    flat = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])  # also for p = 0
     norms = np.empty(len(flat))
     step = max(1, _NORM_CHUNK // max(1, flat.shape[1]))
     scratch = np.empty((min(step, len(flat)), flat.shape[1]))
@@ -75,8 +75,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _norm_deviation(rows: np.ndarray) -> np.ndarray:
-    """Largest | ||x|| - 1 | over the rows x of each (n, p) sample in `rows`; NaN rows give NaN."""
-    return np.abs(_row_norms(rows) - 1.0).max(axis=-1)
+    """Largest | ||x|| - 1 | over the rows x of each (n, p) sample in `rows`, or of one vector.
+    The only unit-norm check, of SphericalSample rows and an FvML direction: a NaN
+    row gives NaN and an overflowing norm inf, so `<= UNIT_NORM_TOL` refuses both."""
+    with np.errstate(over="ignore"):  # a refused value, not an overflow warning
+        return np.abs(_row_norms(rows) - 1.0).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ class AlternativeModel:
                 d = np.asarray(self.direction, dtype=np.float64)
                 if d.ndim != 1:
                     raise ValueError("direction must be a 1-d unit vector")
-                if abs(float(np.linalg.norm(d)) - 1.0) > UNIT_NORM_TOL:
+                if not _norm_deviation(d) <= UNIT_NORM_TOL:  # also rejects NaN
                     raise ValueError("direction must have unit norm within 1e-12")
 
     @classmethod

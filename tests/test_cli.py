@@ -1,9 +1,11 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from sphereuni import cli
 from sphereuni.cli import (
     DIAGNOSE_KINDS,
     _parse_table,
@@ -432,6 +434,17 @@ class TestDiagnose:
             "expects p well above (log n)^2 = 13.6"
         ]
 
+    def test_warnings_print_before_the_error_when_the_run_raises(self, monkeypatch, capsys):
+        def warns_then_raises(*args, **kwargs):
+            warnings.warn("synthetic warning")
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setitem(cli.DIAGNOSTICS, "independence", ((), warns_then_raises))
+        assert run_cli("diagnose", "independence", "--n", "5", "--p", "3", "--reps", "2") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: synthetic warning", "error: synthetic failure"
+        ]
+
     def test_asymmetric_marginal_is_config_error(self, tmp_path):
         assert run_cli("diagnose", "rayleigh-blindness", "--marginal", "chisq1",
                        "--n", "20", "--p", "10", "--reps", "5", "--seed", "1") == 2
@@ -602,6 +615,29 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"config key {key}" in err
         assert "Traceback" not in err
+
+    def test_unknown_key_is_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_rejection_experiment", no_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rep": 3}))
+        out = tmp_path / "t.csv"
+        assert run_cli("size-table", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'rep' is not an option of any command\n"
+        )
+        assert not out.exists()
+
+    def test_one_file_serves_several_commands(self, tmp_path):
+        # keys of another command's options, and the fields artifacts derive, are accepted
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 5, "p": 3, "model": "uniform", "reps": 1, "tau": 2.0,
+                                   "scenarios": "5x3", "format": "json", "kind": "x",
+                                   "input": "x.csv", "marginals": [], "command": "test"}))
+        assert run_cli("sample", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
+        assert run_cli("size-table", "--config", str(cfg), "--out", str(tmp_path / "t.json")) == 0
 
     def test_null_value_means_unset(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -168,6 +168,31 @@ def test_flag_and_config_embed_the_same_config(tmp_path, data_csv, command, opti
     assert from_flag[option] == VALUES[option]
 
 
+# a small run of each command and diagnose kind: its name and positional, then its flags
+FEEDBACK_RUNS = {
+    "sample": (["sample"], ["--n", "5", "--p", "3", "--model", "fvml", "--kappa", "2.5",
+                            "--seed", "7"]),
+    "test": (["test", "DATA"], ["--level", "0.1", "--format", "json"]),
+    **{table: ([table], ["--scenarios", "5x3", "--reps", "2", "--seed", "7", "--format", "json"])
+       for table in ("size-table", "power-table")},
+    **{f"diagnose-{kind}": (["diagnose", kind], ["--n", "5", "--p", "3", "--reps", "2",
+                                                 "--seed", "7", "--threads", "1"])
+       for kind in sorted(cli.DIAGNOSTICS)},
+}
+
+
+@pytest.mark.parametrize("run", sorted(FEEDBACK_RUNS))
+def test_an_artifacts_config_feeds_back(tmp_path, data_csv, run):
+    head, flags = FEEDBACK_RUNS[run]
+    head = [str(data_csv) if arg == "DATA" else arg for arg in head]
+    first, again = tmp_path / "first.out", tmp_path / "again.out"
+    assert main([*head, *flags, "--out", str(first)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(embedded_config(first)))
+    assert main([*head, "--config", str(cfg), "--out", str(again)]) == 0
+    assert list(embedded_config(again).items()) == list(embedded_config(first).items())
+
+
 def test_flag_text_of_each_default_resolves_to_it():
     for option in cli.OPTIONS:
         if option.default is not None:

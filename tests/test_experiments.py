@@ -347,6 +347,25 @@ class TestReplicationErrorAnnotation:
         # the failing block, the block in flight on the other worker, and perhaps one more
         assert len(drawn) <= 4 * 8
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nan_row_fails_at_the_kernel_check(self, monkeypatch, threads):
+        # a NaN row fails its replication through its non-finite reductions; of
+        # replications 11 (second block) and 30 (fourth block) the lower is named
+        real = sampling._draw_rows
+
+        def nan_row(model, p, seed, out):
+            real(model, p, seed, out)
+            if seed.replication_index in (11, 30):
+                out[2, 0] = math.nan
+
+        monkeypatch.setattr(sampling, "_draw_rows", nan_row)
+        plan = small_plan(n=5, p=3, replications=40)
+        with pytest.raises(
+            RuntimeError,
+            match=r"replication 11 failed: pairwise reductions \[nan, nan, nan\] are not finite",
+        ):
+            run_rejection_experiment(plan, threads=threads)
+
     def test_block_failure_no_sample_repeats_stays_runtime_error(self, monkeypatch):
         # every sample draws fine alone, so no replication can be named: the block's
         # failure must still not look like a usage error (ValueError)
@@ -451,6 +470,18 @@ class TestEngine:
         monkeypatch.setattr(_kernels, "pairwise_reduce", poisoned)
         with pytest.raises(RuntimeError, match="replication 7 failed"):
             run_rejection_experiment(plan)
+
+    def test_one_norm_pass_per_block(self, monkeypatch):
+        real = sampling._row_norms
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return real(rows)
+
+        monkeypatch.setattr(sampling, "_row_norms", counted)
+        run_rejection_experiment(small_plan(n=5, p=3, replications=40), threads=1)
+        assert calls == [(8, 5, 3)] * 5  # each of the 5 blocks is normalized, and not checked again
 
     def test_bad_master_seed_is_value_error(self):
         with pytest.raises(ValueError, match="master_seed"):

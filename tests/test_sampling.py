@@ -65,6 +65,12 @@ class TestSphericalSample:
         with pytest.raises(ValueError):
             SphericalSample(n=2, p=2, rows=np.eye(3))
 
+    def test_row_whose_norm_overflows_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row norms deviate from 1 by up to inf"):
+                SphericalSample.from_rows(np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
 
 class TestRowNorms:
     # shapes of one chunk, several chunks, rows wider than a chunk, and blocks of samples
@@ -371,6 +377,15 @@ class TestAlternativeModel:
             AlternativeModel.fvml(-0.5)
         with pytest.raises(ValueError):
             AlternativeModel.fvml(1.0, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("direction", [[math.nan, 0.0], [math.inf, 0.0], [1e200, 0.0], []],
+                             ids=["nan", "inf", "1e200", "empty"])
+    def test_direction_takes_the_unit_norm_check(self, direction):
+        # the check SphericalSample's rows take: NaN and an overflowing norm are refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="direction must have unit norm within 1e-12"):
+                AlternativeModel.fvml(1.0, np.array(direction))
 
     def test_dispatch_deterministic(self):
         for model in (

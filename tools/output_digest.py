@@ -37,6 +37,11 @@ ARTIFACTS = {
     },
     **{f"test.{fmt}": ["test", "sample.csv", "--format", fmt] for fmt in ("csv", "json")},
     **{f"diagnose-{kind}.json": ["diagnose", kind, *DIAGNOSE] for kind in cli.DIAGNOSE_KINDS},
+    # the normalization's edge paths: rows whose norm overflows, and FvML at huge kappa
+    "sample-pareto.csv": ["sample", "--model", "alpha-spherical", "--marginal", "pareto:1e-300",
+                          "--n", "50", "--p", "10", "--seed", "4"],
+    "sample-fvml.csv": ["sample", "--model", "fvml", "--kappa", "1e300", "--n", "50", "--p", "10",
+                        "--seed", "5"],
 }
 
 # the CSV comment line and the top-level JSON key that hold the run's timestamp
