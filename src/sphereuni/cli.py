@@ -12,6 +12,11 @@ one table, OPTIONS, which also orders the fully resolved config that is
 embedded in every output artifact ("# config=" comment lines in CSV, a
 "config" field in JSON), so any artifact can be reproduced from itself.
 Exit codes: 0 success, 2 usage/config/data error, 1 internal error.
+`main()` alone maps exceptions to them: a CliError, or a ValueError from
+any of the library's checks (a refused request), exits 2 with one
+`error:` line; a RuntimeError (a failed replication), or any other
+exception, exits 1 with a traceback.  A diagnostic's warnings print as
+`warning:` lines, also under `python -W error`.
 """
 
 from __future__ import annotations
@@ -476,11 +481,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     if not 0.0 < config["level"] < 1.0:  # before the data are read
         raise CliError("level must lie in (0, 1)")
     sample = load_data_csv(args.input)
-    try:
-        outcomes = run_all_tests(sample, config["level"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
+    outcomes = run_all_tests(sample, config["level"])
     config = _insert_after(config, "command", input=args.input, n=sample.n, p=sample.p)
     _write_rows(args.out, config, "outcomes", [dataclasses.asdict(o) for o in outcomes])
     return 0
@@ -489,10 +490,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     model = build_model(config["model"], config["marginal"], config["kappa"])
-    try:
-        sample = sample_from_model(model, config["n"], config["p"], SeedSpec(config["seed"]))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sample = sample_from_model(model, config["n"], config["p"], SeedSpec(config["seed"]))
     rows = (",".join(format(float(v), ".17g") for v in row) for row in sample.rows)
     _write_csv(args.out, config, rows, generated=False)
     return 0
@@ -506,22 +504,19 @@ def _rate_table(
     """Rejection-rate grid; rows are test (x marginal), columns scenarios."""
     columns = [f"n{n}_p{p}" for n, p in scenarios]
     cells: dict[tuple[str, str | None, str], float] = {}
-    try:
-        # build every plan first, so a bad cell fails before any cell runs
-        plans = {
-            (label, column): ExperimentPlan(
-                n=n, p=p, model=model, replications=config["reps"], level=config["level"],
-                master_seed=config["seed"],
-            )
-            for label, model in models
-            for (n, p), column in zip(scenarios, columns)
-        }
-        for (label, column), plan in plans.items():
-            result = run_rejection_experiment(plan, threads=config["threads"])
-            for test, agg in result.per_test.items():
-                cells[(test, label, column)] = agg.rate
-    except ValueError as exc:  # bad reps, level, scenario or thread count
-        raise CliError(str(exc)) from exc
+    # build every plan first, so a bad cell fails before any cell runs
+    plans = {
+        (label, column): ExperimentPlan(
+            n=n, p=p, model=model, replications=config["reps"], level=config["level"],
+            master_seed=config["seed"],
+        )
+        for label, model in models
+        for (n, p), column in zip(scenarios, columns)
+    }
+    for (label, column), plan in plans.items():
+        result = run_rejection_experiment(plan, threads=config["threads"])
+        for test, agg in result.per_test.items():
+            cells[(test, label, column)] = agg.rate
     rows = []
     for test in ("fisher", "rayleigh", "packing", "bingham"):
         for label, _model in models:
@@ -576,15 +571,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise CliError(f"diagnose {args.kind} takes no --{option.name}")
     read = [parse_marginal(config[name]) if name == "marginal" else config[name] for name in reads]
     # each warning becomes one stderr line, not a source location and line, and
-    # they print also when the run raises, ahead of main()'s error line
+    # they print also when the run raises, ahead of main()'s error line; the two
+    # kinds a diagnostic emits are recorded whatever the process's filters say
     with warnings.catch_warnings(record=True) as caught:
+        for category in (UserWarning, RuntimeWarning):
+            warnings.simplefilter("default", category)
         try:
             report = run(
                 config["n"], config["p"], *read, replications=config["reps"],
                 master_seed=config["seed"], level=config["level"], threads=config["threads"],
             )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
         finally:
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
@@ -631,7 +627,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, MemoryError) as exc:  # MemoryError: a size too large to allocate
+    # a ValueError is a request the library refused before any work;
+    # MemoryError, a size too large to allocate
+    except (CliError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except Exception:

@@ -11,10 +11,11 @@ from sphereuni.cli import (
     _parse_table,
     load_data_csv,
     main,
+    marginal_label,
     parse_marginal,
     parse_scenarios,
 )
-from sphereuni.sampling import SeedSpec, sample_uniform_sphere
+from sphereuni.sampling import HeavyTailMarginal, SeedSpec, sample_uniform_sphere
 from sphereuni.stats import run_all_tests
 
 
@@ -40,6 +41,16 @@ class TestParsers:
             parse_marginal("watson")
         with pytest.raises(CliError):
             parse_marginal("t:0")
+
+    @pytest.mark.parametrize(
+        "marginal, label",
+        [(HeavyTailMarginal.cauchy(), "cauchy"), (HeavyTailMarginal.centered_chisq1(), "chisq1"),
+         (HeavyTailMarginal.student_t(1.5), "t:1.5"), (HeavyTailMarginal.pareto(0.8), "pareto:0.8")],
+        ids=["cauchy", "chisq1", "t", "pareto"],
+    )
+    def test_marginal_label_reads_back(self, marginal, label):
+        assert marginal_label(marginal) == label
+        assert parse_marginal(label) == marginal
 
     def test_scenarios(self):
         assert parse_scenarios("80x40, 100x120") == ((80, 40), (100, 120))
@@ -288,42 +299,57 @@ class TestTestCommand:
 
 
 class TestOutputFile:
-    # the call in cli that does each command's work
+    # the call in cli that does each command's work; diagnose's is its DIAGNOSTICS row
     WORK = {
         "test": "load_data_csv",
         "sample": "sample_from_model",
         "size-table": "run_rejection_experiment",
         "power-table": "run_rejection_experiment",
-        "diagnose": "run_packing_lln_diagnostic",
     }
+    # a valid request of each command
+    ARGV = [
+        ("test", "{data}"),
+        ("sample", "--n", "3", "--p", "2"),
+        ("size-table", "--reps", "1", "--scenarios", "5x3"),
+        ("power-table", "--reps", "1", "--scenarios", "5x3"),
+        ("diagnose", "packing-lln", "--n", "5", "--p", "3", "--reps", "2"),
+    ]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("test", "{data}"),
-            ("sample", "--n", "3", "--p", "2"),
-            ("size-table", "--reps", "1", "--scenarios", "5x3"),
-            ("power-table", "--reps", "1", "--scenarios", "5x3"),
-            ("diagnose", "packing-lln", "--n", "5", "--p", "3", "--reps", "2"),
-        ],
-        ids=lambda argv: argv[0],
-    )
+    def patch_work(self, monkeypatch, command, work):
+        if command == "diagnose":  # the row holds the function itself
+            monkeypatch.setitem(cli.DIAGNOSTICS, "packing-lln", (("marginal",), work))
+        else:
+            monkeypatch.setattr(cli, self.WORK[command], work)
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["missing-dir", "directory"])
     def test_unwritable_out_is_exit_2(self, tmp_path, capsys, monkeypatch, argv, out):
         # the path is refused before the command's work: that work, here one that
         # raises, never runs
-        import sphereuni.cli as cli_mod
-
         def work(*args, **kwargs):
             raise AssertionError("the command ran before checking --out")
 
-        monkeypatch.setattr(cli_mod, self.WORK[argv[0]], work)
+        self.patch_work(monkeypatch, argv[0], work)
         data = tmp_path / "d.csv"
         data.write_text("1,0\n0,1\n1,1\n")
         argv = [arg.format(data=data) for arg in argv]
         assert run_cli(*argv, "--out", str(tmp_path / out)) == 2
         err = capsys.readouterr().err
         assert f"cannot write output file {tmp_path / out}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_refused_request_is_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # a ValueError from the library is a refused request, whichever command's
+        # work raises it; main() alone turns it into exit 2
+        def refuse(*args, **kwargs):
+            raise ValueError("synthetic refusal")
+
+        self.patch_work(monkeypatch, argv[0], refuse)
+        argv = [arg.format(data=tmp_path / "d.csv") for arg in argv]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "error: synthetic refusal" in err
         assert "Traceback" not in err
 
 
@@ -434,6 +460,18 @@ class TestDiagnose:
             "expects p well above (log n)^2 = 13.6"
         ]
 
+    def test_warning_prints_when_the_process_turns_warnings_into_errors(self, capsys):
+        # as under `python -W error`: the regime warning is still a warning line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("diagnose", "independence", "--n", "20", "--p", "10",
+                           "--reps", "30", "--seed", "2", "--threads", "1") == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: independence diagnostic at p=10, n=20: the asymptotic regime "
+            "expects p well above (log n)^2 = 9.0"
+        ]
+
     def test_warnings_print_before_the_error_when_the_run_raises(self, monkeypatch, capsys):
         def warns_then_raises(*args, **kwargs):
             warnings.warn("synthetic warning")
@@ -487,6 +525,8 @@ class TestExitCodes:
              "--model uniform takes no --kappa"),
             (("sample", "--model", "alpha-spherical", "--marginal", "cauchy", "--kappa", "5",
               "--n", "3", "--p", "2"), "--model alpha-spherical takes no --kappa"),
+            (("sample", "--model", "alpha-spherical", "--n", "3", "--p", "2"),
+             "--model alpha-spherical needs --marginal"),
             # diagnose refuses a --tau or --marginal its kind does not read
             *((("diagnose", kind, f"--{name}", value, "--n", "10", "--p", "5", "--reps", "3"),
                f"diagnose {kind} takes no --{name}")
@@ -503,6 +543,7 @@ class TestExitCodes:
              "flag-diagnose-marginal-bogus", "flag-sample-marginal-bogus",
              "flag-scenarios-token", "flag-scenarios-repeated",
              "uniform-marginal", "fvml-marginal", "uniform-kappa", "alpha-spherical-kappa",
+             "alpha-spherical-no-marginal",
              "independence-tau", "independence-marginal", "fvml-blindness-marginal",
              "packing-lln-tau"],
     )
@@ -512,6 +553,14 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("kind", SPREAD_KINDS)
+    def test_one_replication_is_refused_before_numpy_warns(self, capsys, kind):
+        # the diagnostic's warnings print as lines, so this is the guard against
+        # numpy's divide warnings: the error is the only line
+        assert run_cli("diagnose", kind, "--reps", "1") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith("replications must be >= 2")
 
     def test_diagnose_kind_refuses_a_config_value_it_does_not_read(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -572,6 +621,12 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert run_cli("sample", "--config", str(cfg)) == 2
+
+    def test_config_that_names_a_directory_is_exit_2(self, tmp_path, capsys):
+        assert run_cli("sample", "--config", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read config file {tmp_path}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, doc, key",

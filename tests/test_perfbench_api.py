@@ -5,19 +5,25 @@ reads its source with `ast` and checks, in milliseconds, that every
 sphereuni name it imports resolves, that every attribute it takes from an
 imported sphereuni module exists, and that the result fields it reads are
 still there.  A string constant that holds Python code, such as a
-`python -c` snippet, is read the same way.  Nothing under perfbench/ is
-imported or changed.
+`python -c` snippet, is read the same way.  The last checks make, at a
+few replications, the calls that perfbench's traced runs count, and
+check each count that would otherwise fail a traced run.  Nothing under
+perfbench/ is imported or changed.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from sphereuni import experiments
+from sphereuni import cli, experiments
+from sphereuni.experiments import POWER_MARGINALS
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -98,3 +104,45 @@ def test_aggregate_keeps_the_fields_perfbench_reads():
     fields = {f.name for f in dataclasses.fields(experiments.TestAggregate)}
     assert fields >= {"rejections", "rate", "stat_mean"}
     assert "per_test" in {f.name for f in dataclasses.fields(experiments.ExperimentResult)}
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Replace `cli.<name>` by a pass-through that appends each call to the returned list."""
+    real, calls = getattr(cli, name), []
+
+    def passthrough(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, passthrough)
+    return calls
+
+
+@pytest.mark.parametrize("command, cells",
+                         [("size-table", 2), ("power-table", 2 * len(POWER_MARGINALS))])
+def test_table_calls_the_engine_once_per_cell(tmp_path, monkeypatch, command, cells):
+    """perfbench/child.py:557-558 fails a traced table run otherwise."""
+    calls = counting(monkeypatch, "run_rejection_experiment")
+    assert cli.main([command, "--reps", "2", "--scenarios", "5x3,6x3", "--threads", "1",
+                     "--out", str(tmp_path / "t.json")]) == 0
+    assert len(calls) == cells
+
+
+def test_test_command_loads_and_tests_once(tmp_path, monkeypatch):
+    """perfbench/child.py:619-620 fails a traced test-large run otherwise."""
+    data = tmp_path / "d.csv"
+    assert cli.main(["sample", "--n", "6", "--p", "3", "--out", str(data)]) == 0
+    loads, tests = counting(monkeypatch, "load_data_csv"), counting(monkeypatch, "run_all_tests")
+    assert cli.main(["test", str(data), "--out", str(tmp_path / "o.csv")]) == 0
+    assert (len(loads), len(tests)) == (1, 1)
+
+
+def test_import_of_the_cli_loads_scipy_stats():
+    """perfbench/run.py:159-160 fails a traced run whose `-X importtime` shows no
+    `scipy.stats` under `import sphereuni.cli`.  ROADMAP item 6's benchmark change,
+    which makes an import without it a valid reading, retires this check."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, sphereuni.cli; sys.exit('scipy.stats' not in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -65,6 +65,10 @@ class TestSphericalSample:
         with pytest.raises(ValueError):
             SphericalSample(n=2, p=2, rows=np.eye(3))
 
+    def test_rows_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="rows must be a 2-d array"):
+            SphericalSample.from_rows(np.ones(3))
+
     def test_row_whose_norm_overflows_is_refused_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -164,6 +168,11 @@ class TestDrawMarginal:
             HeavyTailMarginal("lognormal")
         with pytest.raises(ValueError):
             draw_marginal(CAUCHY, 0, SeedSpec(1))
+
+    @pytest.mark.parametrize("kind", ["cauchy", "centered_chisq1"])
+    def test_parameter_of_a_parameterless_kind_is_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} takes no parameter"):
+            HeavyTailMarginal(kind, 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, value):
@@ -377,6 +386,10 @@ class TestAlternativeModel:
             AlternativeModel.fvml(-0.5)
         with pytest.raises(ValueError):
             AlternativeModel.fvml(1.0, np.array([1.0, 1.0]))
+
+    def test_direction_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="direction must be a 1-d unit vector"):
+            AlternativeModel.fvml(1.0, np.eye(2))
 
     @pytest.mark.parametrize("direction", [[math.nan, 0.0], [math.inf, 0.0], [1e200, 0.0], []],
                              ids=["nan", "inf", "1e200", "empty"])
