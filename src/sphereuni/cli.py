@@ -26,7 +26,6 @@ import array
 import dataclasses
 import itertools
 import json
-import math
 import sys
 import traceback
 import warnings
@@ -438,23 +437,6 @@ def marginal_label(m: HeavyTailMarginal) -> str:
     return f"pareto:{m.param:g}"
 
 
-def build_model(model: str, marginal: str | None, kappa: float) -> AlternativeModel:
-    """The model named by one of the `model` row's choices; an option it does not read is refused."""
-    if marginal is not None and model != "alpha-spherical":
-        raise CliError(f"--model {model} takes no --marginal")
-    if kappa != 0.0 and model != "fvml":
-        raise CliError(f"--model {model} takes no --kappa")
-    if model == "uniform":
-        return AlternativeModel.uniform()
-    if model == "alpha-spherical":
-        if marginal is None:
-            raise CliError("--model alpha-spherical needs --marginal")
-        return AlternativeModel.alpha_spherical(parse_marginal(marginal))
-    if not 0.0 <= kappa < math.inf:
-        raise CliError(f"--kappa must be finite and >= 0, got {kappa}")
-    return AlternativeModel.fvml(kappa)
-
-
 def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:
     out = []
     for token in spec.split(","):
@@ -489,7 +471,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    model = build_model(config["model"], config["marginal"], config["kappa"])
+    marginal = None if config["marginal"] is None else parse_marginal(config["marginal"])
+    model = AlternativeModel(config["model"].replace("-", "_"), marginal, config["kappa"])
     sample = sample_from_model(model, config["n"], config["p"], SeedSpec(config["seed"]))
     rows = (",".join(format(float(v), ".17g") for v in row) for row in sample.rows)
     _write_csv(args.out, config, rows, generated=False)

@@ -36,6 +36,7 @@ from .sampling import (
     AlternativeModel,
     HeavyTailMarginal,
     SeedSpec,
+    _check_integers,
     _check_model_dimension,
     _sample_block,
     sample_from_model,
@@ -80,6 +81,7 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         _check_request(self.n, self.p, self.level)
         _check_model_dimension(self.model, self.p)
+        _check_integers(replications=self.replications)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         SeedSpec(self.master_seed)  # a bad seed is a usage error, not a failed replication

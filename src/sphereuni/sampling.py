@@ -36,6 +36,13 @@ UNIT_NORM_TOL = 1e-12
 _NORM_CHUNK = 1 << 15
 
 
+def _check_integers(**values) -> None:
+    """The one integer rule of a request: a Python or numpy integer, never a bool or a float."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """A reproducible stream address: (master seed, replication index).
@@ -48,9 +55,10 @@ class SeedSpec:
     replication_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < 2**64:
+        _check_integers(master_seed=self.master_seed, replication_index=self.replication_index)
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if int(self.replication_index) < 0:
+        if self.replication_index < 0:
             raise ValueError("replication_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
@@ -75,9 +83,9 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _norm_deviation(rows: np.ndarray) -> np.ndarray:
-    """Largest | ||x|| - 1 | over the rows x of each (n, p) sample in `rows`, or of one vector.
-    The only unit-norm check, of SphericalSample rows and an FvML direction: a NaN
-    row gives NaN and an overflowing norm inf, so `<= UNIT_NORM_TOL` refuses both."""
+    """Largest | ||x|| - 1 | over the rows x of each (n, p) sample in `rows`.
+    The only unit-norm check, of SphericalSample rows: a NaN row gives NaN and
+    an overflowing norm inf, so `<= UNIT_NORM_TOL` refuses both."""
     with np.errstate(over="ignore"):  # a refused value, not an overflow warning
         return np.abs(_row_norms(rows) - 1.0).max(axis=-1)
 
@@ -166,30 +174,28 @@ class HeavyTailMarginal:
 class AlternativeModel:
     """Data-generating law: uniform, alpha-spherical, or FvML.
 
-    For FvML, direction=None means "draw a fresh random unit direction
-    from the replication's own stream before sampling"; the tests are
-    rotation invariant so this choice does not affect rejection rates.
+    The one check of a model's fields: each kind refuses a field it does not
+    read.  alpha_spherical reads its marginal, fvml its concentration kappa,
+    and uniform neither.  FvML draws a fresh unit mean direction from each
+    sample's own stream before its cosines; the tests are rotation
+    invariant, so the direction does not affect rejection rates.
     """
 
     kind: str
     marginal: HeavyTailMarginal | None = None
     kappa: float = 0.0
-    direction: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "alpha_spherical", "fvml"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "alpha_spherical" and self.marginal is None:
-            raise ValueError("alpha_spherical model needs a marginal")
-        if self.kind == "fvml":
-            if not 0.0 <= self.kappa < math.inf:  # also rejects NaN
-                raise ValueError("kappa must be finite and >= 0")
-            if self.direction is not None:
-                d = np.asarray(self.direction, dtype=np.float64)
-                if d.ndim != 1:
-                    raise ValueError("direction must be a 1-d unit vector")
-                if not _norm_deviation(d) <= UNIT_NORM_TOL:  # also rejects NaN
-                    raise ValueError("direction must have unit norm within 1e-12")
+            raise ValueError("model alpha_spherical needs a marginal")
+        if self.kind != "alpha_spherical" and self.marginal is not None:
+            raise ValueError(f"model {self.kind} takes no marginal")
+        if self.kind != "fvml" and self.kappa != 0.0:
+            raise ValueError(f"model {self.kind} takes no kappa")
+        if not 0.0 <= self.kappa < math.inf:  # also rejects NaN
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
 
     @classmethod
     def uniform(cls) -> "AlternativeModel":
@@ -200,8 +206,8 @@ class AlternativeModel:
         return cls("alpha_spherical", marginal=marginal)
 
     @classmethod
-    def fvml(cls, kappa: float, direction: np.ndarray | None = None) -> "AlternativeModel":
-        return cls("fvml", kappa=float(kappa), direction=direction)
+    def fvml(cls, kappa: float) -> "AlternativeModel":
+        return cls("fvml", kappa=float(kappa))
 
 
 def _normalize_rows(raw: np.ndarray, what: str) -> None:
@@ -318,25 +324,20 @@ def _fvml_cosines(n: int, p: int, kappa: float, rng: np.random.Generator) -> np.
     return np.clip(out, -1.0, 1.0)
 
 
-def sample_fvml(
-    n: int, p: int, kappa: float, direction: np.ndarray, seed: SeedSpec
-) -> SphericalSample:
-    """i.i.d. FvML(kappa, direction) rows via tangent-normal decomposition.
+def sample_fvml(n: int, p: int, kappa: float, seed: SeedSpec) -> SphericalSample:
+    """i.i.d. FvML(kappa, mu) rows via tangent-normal decomposition.
 
-    Each row is t*mu + sqrt(1-t^2)*xi with t from the rejection sampler
-    and xi uniform on the equator orthogonal to mu.
+    The mean direction mu is a uniform unit vector, the first draw of the
+    seed's stream.  Each row is t*mu + sqrt(1-t^2)*xi with t from the
+    rejection sampler and xi uniform on the equator orthogonal to mu.
     """
-    return sample_from_model(AlternativeModel.fvml(kappa, direction), n, p, seed)
+    return sample_from_model(AlternativeModel.fvml(kappa), n, p, seed)
 
 
 def _check_model_dimension(model: AlternativeModel, p: int) -> None:
-    """The model's rules that depend on p: FvML needs p >= 2 and a direction of shape (p,)."""
-    if model.kind != "fvml":
-        return
-    if p < 2:
+    """The model's one rule that depends on p: FvML needs p >= 2."""
+    if model.kind == "fvml" and p < 2:
         raise ValueError("FvML sampling needs p >= 2")
-    if model.direction is not None and np.shape(model.direction) != (p,):
-        raise ValueError(f"direction must have shape ({p},)")
 
 
 def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray) -> None:
@@ -348,12 +349,9 @@ def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray)
     elif model.kind == "alpha_spherical":
         out[...] = _draw_raw(model.marginal, n * p, rng).reshape(n, p)
     else:
-        if model.direction is None:
-            # fresh direction per sample, drawn ahead of the cosines
-            mu = rng.standard_normal(p)
-            mu /= np.linalg.norm(mu)
-        else:
-            mu = np.asarray(model.direction, dtype=np.float64)
+        # fresh direction per sample, drawn ahead of the cosines
+        mu = rng.standard_normal(p)
+        mu /= np.linalg.norm(mu)
         t = _fvml_cosines(n, p, float(model.kappa), rng)
         x = rng.standard_normal((n, p))  # Gaussian rows projected orthogonal to mu
         out[...] = x - np.outer(x @ mu, mu)

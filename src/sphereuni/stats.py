@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, nulldist
-from .sampling import SphericalSample
+from .sampling import SphericalSample, _check_integers
 
 __all__ = [
     "TEST_NAMES",
@@ -119,17 +119,19 @@ _COMPONENTS = (
 
 
 def fisher_threshold(level: float) -> float:
-    """Cutoff for the smallest p-value: 1 - (1-level)^(1/3)."""
+    """Cutoff for the smallest p-value: 1 - (1-level)^(1/3), as -expm1(log1p(-level)/3)
+    so that a tiny level keeps its digits instead of cancelling to 0."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    return 1.0 - (1.0 - level) ** (1.0 / 3.0)
+    return -math.expm1(math.log1p(-level) / 3.0)
 
 
 def _fisher(p_rayleigh, p_bingham, p_packing, level: float) -> TestArrays:
     c = np.minimum(np.minimum(p_rayleigh, p_bingham), p_packing)
-    # cube by products: numpy's vectorized pow may round differently from its scalar pow
-    q = 1.0 - c
-    combined = np.minimum(np.maximum(1.0 - q * q * q, 0.0), 1.0)
+    # 1 - (1-c)^3 without cancellation: a p-value of 1e-17 stays 3e-17, not 0;
+    # c = 1 takes log1p(-1) = -inf, which gives exactly 1
+    with np.errstate(divide="ignore"):
+        combined = -np.expm1(3.0 * np.log1p(-c))
     return TestArrays(statistic=c, p_value=combined, reject=c <= fisher_threshold(level))
 
 
@@ -140,9 +142,10 @@ def fisher_combination(
 
     Rejects when min(p) <= 1 - (1-level)^(1/3).  The reported p-value is
     1 - (1-min)^3, the Sidak-style transform that makes "p <= level"
-    equivalent to the threshold rule.  This is Tippett's min-p rule, not
-    Fisher's -2 * sum(log p); the name and the "fisher" test label are kept
-    so that artifacts stay stable.
+    equivalent to the threshold rule, computed as -expm1(3*log1p(-min)) so
+    that a tiny min keeps its digits (min = 1e-17 gives 3e-17, not 0).
+    This is Tippett's min-p rule, not Fisher's -2 * sum(log p); the name and
+    the "fisher" test label are kept so that artifacts stay stable.
     """
     ps = (float(p_rayleigh), float(p_bingham), float(p_packing))
     for q in ps:
@@ -160,6 +163,7 @@ def fisher_combination(
 
 def _check_request(n: int, p: int, level: float) -> None:
     """Reject a shape or level that `evaluate_tests` cannot score: the one check of both."""
+    _check_integers(n=n, p=p)
     # the combined test needs the packing p-value, which needs n >= 3
     if n < 3 or p < 1:
         raise ValueError("need n >= 3 and p >= 1")

@@ -109,6 +109,18 @@ class TestTestCommand:
         assert all(o["p_value"] > 0.001 for o in doc["outcomes"])
         assert doc["config"]["n"] == 100
 
+    def test_heavy_tail_combined_p_value_keeps_its_digits(self, tmp_path):
+        # the packing p-value is about 1.5e-17; 1 - (1 - p)^3 used to print 0.0
+        data = tmp_path / "c.csv"
+        assert run_cli("sample", "--model", "alpha-spherical", "--marginal", "cauchy",
+                       "--n", "100", "--p", "100", "--seed", "3", "--out", str(data)) == 0
+        report = tmp_path / "out.json"
+        assert run_cli("test", str(data), "--format", "json", "--out", str(report)) == 0
+        p_values = {o["test"]: o["p_value"] for o in json.loads(report.read_text())["outcomes"]}
+        c = p_values["packing"]
+        assert c == pytest.approx(1.4921786280526775e-17, rel=1e-9)
+        assert p_values["fisher"] == pytest.approx(3 * c - 3 * c**2 + c**3, rel=1e-12)
+
     def test_identical_rows_reject_everything(self, tmp_path):
         row = ",".join(["1.0"] + ["0.0"] * 19)
         data = tmp_path / "ident.csv"
@@ -518,15 +530,15 @@ class TestExitCodes:
             (("sample", "--model", "fvml", "--marginal", "bogus"), "--marginal: bad value 'bogus'"),
             (("size-table", "--scenarios", "1x"), "--scenarios: bad value '1x'"),
             (("size-table", "--scenarios", "5x3,05X3"), "--scenarios: bad value '5x3,05X3'"),
-            # sample refuses an option its model does not read
+            # sample refuses an option its model does not read, with AlternativeModel's message
             *((("sample", "--model", model, "--marginal", "cauchy", "--n", "3", "--p", "2"),
-               f"--model {model} takes no --marginal") for model in ("uniform", "fvml")),
+               f"model {model} takes no marginal") for model in ("uniform", "fvml")),
             (("sample", "--kappa", "5", "--n", "3", "--p", "2"),
-             "--model uniform takes no --kappa"),
+             "model uniform takes no kappa"),
             (("sample", "--model", "alpha-spherical", "--marginal", "cauchy", "--kappa", "5",
-              "--n", "3", "--p", "2"), "--model alpha-spherical takes no --kappa"),
+              "--n", "3", "--p", "2"), "model alpha_spherical takes no kappa"),
             (("sample", "--model", "alpha-spherical", "--n", "3", "--p", "2"),
-             "--model alpha-spherical needs --marginal"),
+             "model alpha_spherical needs a marginal"),
             # diagnose refuses a --tau or --marginal its kind does not read
             *((("diagnose", kind, f"--{name}", value, "--n", "10", "--p", "5", "--reps", "3"),
                f"diagnose {kind} takes no --{name}")
@@ -714,7 +726,7 @@ class TestConfigFile:
         for kappa in ("nan", "inf"):
             assert run_cli("sample", "--model", "fvml", "--kappa", kappa,
                            "--n", "5", "--p", "3") == 2
-            assert "--kappa must be finite" in capsys.readouterr().err
+            assert f"error: kappa must be finite and >= 0, got {kappa}" in capsys.readouterr().err
 
 
 class TestRejectedRequests:

@@ -65,10 +65,27 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=r"FvML sampling needs p >= 2"):
             small_plan(p=1, model=AlternativeModel.fvml(1.0))
 
-    def test_fvml_direction_must_match_p_before_any_replication(self):
-        model = AlternativeModel.fvml(1.0, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match=r"direction must have shape \(3,\)"):
-            small_plan(p=3, model=model)
+    @pytest.mark.parametrize("field", ["n", "p", "replications", "master_seed"])
+    @pytest.mark.parametrize("value", [5.5, 3.0, True], ids=["fraction", "integral-float", "bool"])
+    def test_non_integer_is_refused_before_any_work(self, field, value):
+        # a seed of 1.5 or True used to run seed 1; n = 5.5 failed inside the engine
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            small_plan(**{field: value})
+
+    def test_numpy_integers_pass(self):
+        numpy_ints = dict(n=np.int64(40), p=np.int32(20), replications=np.int64(60),
+                          master_seed=np.uint64(9001))
+        assert small_plan(**numpy_ints) == small_plan()
+        assert (run_rejection_experiment(small_plan(**numpy_ints), threads=1)
+                == run_rejection_experiment(small_plan(), threads=1))
+
+    @pytest.mark.parametrize("model", [UNIFORM, AlternativeModel.alpha_spherical(CAUCHY),
+                                       AlternativeModel.fvml(2.5)], ids=lambda m: m.kind)
+    def test_plans_hash_and_compare_by_value(self, model):
+        twin = AlternativeModel(model.kind, model.marginal, model.kappa)
+        assert small_plan(model=model) == small_plan(model=twin)
+        assert hash(small_plan(model=model)) == hash(small_plan(model=twin))
+        assert small_plan(model=model) != small_plan(model=model, master_seed=1)
 
     def test_every_plan_needs_n3_and_scores_all_four_tests(self):
         with pytest.raises(ValueError, match=r"need n >= 3 and p >= 1"):

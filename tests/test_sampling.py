@@ -39,6 +39,18 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(0, -1)
 
+    @pytest.mark.parametrize("field", ["master_seed", "replication_index"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.bool_(True), "3"],
+                             ids=["fraction", "integral-float", "bool", "numpy-bool", "str"])
+    def test_non_integer_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SeedSpec(**{"master_seed": 1, field: value})
+
+    def test_numpy_integers_pass(self):
+        a = SeedSpec(np.uint64(2**64 - 1), np.int32(3)).generator().random(4)
+        b = SeedSpec(2**64 - 1, 3).generator().random(4)
+        np.testing.assert_array_equal(a, b)
+
     def test_streams_differ_by_index(self):
         a = SeedSpec(7, 0).generator().random(4)
         b = SeedSpec(7, 1).generator().random(4)
@@ -290,14 +302,17 @@ class TestOverflowingRows:
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
 
-def fvml_oracle(kappa, direction, n, p, seed):
+def fvml_direction(p, seed):
+    """The mean direction of an FvML sample: its stream's first p normals, normalized."""
+    mu = seed.generator().standard_normal(p)
+    return mu / np.linalg.norm(mu)
+
+
+def fvml_oracle(kappa, n, p, seed):
     """An FvML sample rebuilt from its stream, with numpy's norms in place of _row_norms."""
     rng = seed.generator()
-    if direction is None:
-        mu = rng.standard_normal(p)
-        mu /= np.linalg.norm(mu)
-    else:
-        mu = direction
+    mu = rng.standard_normal(p)
+    mu /= np.linalg.norm(mu)
     t = _fvml_cosines(n, p, float(kappa), rng)
     x = rng.standard_normal((n, p))
     xi = x - np.outer(x @ mu, mu)
@@ -309,18 +324,15 @@ def fvml_oracle(kappa, direction, n, p, seed):
 class TestFvmlSampler:
     @pytest.mark.parametrize("kappa", [0.0, 2.5, 1e6, 1e300])
     @pytest.mark.parametrize("n, p", [(1, 2), (30, 12), (100, 100)])
-    @pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed"])
-    def test_rows_match_an_independent_construction(self, kappa, n, p, fixed):
-        direction = None
-        if fixed:
-            direction = np.arange(1.0, p + 1.0)
-            direction /= np.linalg.norm(direction)
-        model = AlternativeModel.fvml(kappa, direction)
+    # every FvML sample draws its own ("free") direction from its stream
+    @pytest.mark.parametrize("direction", ["free"])
+    def test_rows_match_an_independent_construction(self, kappa, n, p, direction):
+        model = AlternativeModel.fvml(kappa)
         seeds = [SeedSpec(43, i) for i in range(5)]
         block = np.empty((len(seeds), n, p))
         _sample_block(model, p, seeds, block)
         for rows, seed in zip(block, seeds):
-            expected = fvml_oracle(kappa, direction, n, p, seed).view(np.uint64)
+            expected = fvml_oracle(kappa, n, p, seed).view(np.uint64)
             np.testing.assert_array_equal(rows.view(np.uint64), expected)
             alone = sample_from_model(model, n, p, seed).rows
             np.testing.assert_array_equal(alone.view(np.uint64), expected)
@@ -329,54 +341,41 @@ class TestFvmlSampler:
         # concentration zero must behave exactly like the null: check the
         # rayleigh rejection rate over full monte carlo in experiments tests;
         # here check norms/determinism and that the cosine law is symmetric
-        mu = np.zeros(8)
-        mu[0] = 1.0
-        s = sample_fvml(4000, 8, 0.0, mu, SeedSpec(19))
-        t = s.rows @ mu
+        s = sample_fvml(4000, 8, 0.0, SeedSpec(19))
+        t = s.rows @ fvml_direction(8, SeedSpec(19))
         assert abs(t.mean()) < 3.0 * t.std(ddof=1) / math.sqrt(len(t))
         assert np.abs(np.linalg.norm(s.rows, axis=1) - 1.0).max() <= 1e-12
 
     def test_large_kappa_concentrates_on_direction(self):
-        mu = np.zeros(10)
-        mu[2] = 1.0
-        s = sample_fvml(200, 10, 1e4, mu, SeedSpec(20))
-        mean_dir = s.rows.mean(axis=0)
-        mean_dir /= np.linalg.norm(mean_dir)
-        angle = math.acos(np.clip(mean_dir @ mu, -1.0, 1.0))
-        assert angle < 0.1
+        # the mean resultant length is E[t] ~ 1 - (p-1)/(2 kappa) = 0.99955 here,
+        # against about 1/sqrt(n) = 0.07 for uniform rows
+        s = sample_fvml(200, 10, 1e4, SeedSpec(20))
+        assert np.linalg.norm(s.rows.mean(axis=0)) > 0.999
 
     @pytest.mark.parametrize("kappa", [1e14, 1e17, 1e160, 1e300, 1.7e308])
     @pytest.mark.parametrize("p", [2, 4, 100])
     def test_extreme_kappa_is_accepted(self, kappa, p):
         # 1 - t is about (p-1)/(2 kappa); the textbook acceptance test fails from ~1e17
-        mu = np.zeros(p)
-        mu[0] = 1.0
-        t = sample_fvml(50, p, kappa, mu, SeedSpec(22)).rows @ mu
+        t = sample_fvml(50, p, kappa, SeedSpec(22)).rows @ fvml_direction(p, SeedSpec(22))
         assert np.all(1.0 - t <= 100.0 * (p - 1) / kappa + 1e-15)
 
     def test_deterministic(self):
-        mu = np.zeros(5)
-        mu[0] = 1.0
-        a = sample_fvml(12, 5, 2.0, mu, SeedSpec(21, 4))
-        b = sample_fvml(12, 5, 2.0, mu, SeedSpec(21, 4))
+        a = sample_fvml(12, 5, 2.0, SeedSpec(21, 4))
+        b = sample_fvml(12, 5, 2.0, SeedSpec(21, 4))
         np.testing.assert_array_equal(a.rows, b.rows)
 
     def test_domain_errors(self):
-        mu = np.array([1.0, 0.0])
-        with pytest.raises(ValueError):
-            sample_fvml(5, 2, -1.0, mu, SeedSpec(1))
-        with pytest.raises(ValueError):
-            sample_fvml(5, 1, 1.0, np.array([1.0]), SeedSpec(1))
-        with pytest.raises(ValueError):
-            sample_fvml(5, 2, 1.0, np.array([1.0, 1.0]), SeedSpec(1))
+        with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+            sample_fvml(5, 2, -1.0, SeedSpec(1))
+        with pytest.raises(ValueError, match=r"FvML sampling needs p >= 2"):
+            sample_fvml(5, 1, 1.0, SeedSpec(1))
+
+
+ALL_KINDS = [AlternativeModel.uniform(), AlternativeModel.alpha_spherical(CAUCHY),
+             AlternativeModel.fvml(2.5)]
 
 
 class TestAlternativeModel:
-    def test_direction_must_match_dimension(self):
-        model = AlternativeModel.fvml(1.0, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match=r"direction must have shape \(3,\)"):
-            sample_from_model(model, 5, 3, SeedSpec(1))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AlternativeModel("watson")
@@ -384,28 +383,42 @@ class TestAlternativeModel:
             AlternativeModel("alpha_spherical")
         with pytest.raises(ValueError):
             AlternativeModel.fvml(-0.5)
-        with pytest.raises(ValueError):
-            AlternativeModel.fvml(1.0, np.array([1.0, 1.0]))
 
-    def test_direction_must_be_a_vector(self):
-        with pytest.raises(ValueError, match="direction must be a 1-d unit vector"):
-            AlternativeModel.fvml(1.0, np.eye(2))
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("watson", {}, "unknown model kind 'watson'"),
+            ("uniform", {"marginal": CAUCHY}, "model uniform takes no marginal"),
+            ("uniform", {"kappa": 1.0}, "model uniform takes no kappa"),
+            ("uniform", {"kappa": math.nan}, "model uniform takes no kappa"),
+            ("alpha_spherical", {}, "model alpha_spherical needs a marginal"),
+            ("alpha_spherical", {"marginal": CAUCHY, "kappa": 1.0},
+             "model alpha_spherical takes no kappa"),
+            ("fvml", {"marginal": CAUCHY, "kappa": 1.0}, "model fvml takes no marginal"),
+            *(("fvml", {"kappa": kappa}, "kappa must be finite and >= 0")
+              for kappa in (-0.5, math.inf, math.nan)),
+        ],
+        ids=["unknown", "uniform-marginal", "uniform-kappa", "uniform-kappa-nan",
+             "alpha-no-marginal", "alpha-kappa", "fvml-marginal", "fvml-kappa-negative",
+             "fvml-kappa-inf", "fvml-kappa-nan"],
+    )
+    def test_each_kind_refuses_the_fields_it_does_not_read(self, kind, fields, message):
+        with pytest.raises(ValueError, match=message):
+            AlternativeModel(kind, **fields)
 
-    @pytest.mark.parametrize("direction", [[math.nan, 0.0], [math.inf, 0.0], [1e200, 0.0], []],
-                             ids=["nan", "inf", "1e200", "empty"])
-    def test_direction_takes_the_unit_norm_check(self, direction):
-        # the check SphericalSample's rows take: NaN and an overflowing norm are refused
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="direction must have unit norm within 1e-12"):
-                AlternativeModel.fvml(1.0, np.array(direction))
+    def test_no_fixed_direction(self):
+        with pytest.raises(TypeError):
+            AlternativeModel("fvml", kappa=1.0, direction=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_hashes_and_compares_by_value(self, model):
+        twin = AlternativeModel(model.kind, model.marginal, model.kappa)
+        assert twin == model and twin is not model
+        assert hash(twin) == hash(model)
+        assert len({model, twin, *ALL_KINDS}) == 3
 
     def test_dispatch_deterministic(self):
-        for model in (
-            AlternativeModel.uniform(),
-            AlternativeModel.alpha_spherical(CAUCHY),
-            AlternativeModel.fvml(2.5),
-        ):
+        for model in ALL_KINDS:
             a = sample_from_model(model, 8, 6, SeedSpec(22, 1))
             b = sample_from_model(model, 8, 6, SeedSpec(22, 1))
             np.testing.assert_array_equal(a.rows, b.rows)

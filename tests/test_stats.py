@@ -298,6 +298,26 @@ class TestFisherCombination:
             # combined p-value is the Sidak transform of the minimum
             assert out.p_value == pytest.approx(1.0 - (1.0 - min(ps)) ** 3, abs=1e-15)
 
+    def test_tiny_min_keeps_its_digits(self):
+        # 1 - (1-c)^3 cancelled to 0.0 for this packing p-value of a Cauchy sample
+        c = 1.4921786280526775e-17
+        out = fisher_combination(0.3, 0.9, c, 0.05)
+        assert out.p_value == pytest.approx(3 * c - 3 * c**2 + c**3, rel=1e-12)
+        assert out.p_value == pytest.approx(4.4765e-17, rel=1e-4)
+        # and the threshold of a tiny level is level/3, not 0.0
+        assert fisher_threshold(1e-17) == pytest.approx(1e-17 / 3, rel=1e-12)
+        assert fisher_threshold(0.05) == 0.0169524275084415
+
+    def test_scalar_and_array_minimums_give_the_same_bits(self):
+        # one p-value function serves run_all_tests (floats) and the engine ((R,) arrays)
+        c = np.concatenate([np.logspace(-320, 0, 4001), np.linspace(0.0, 1.0, 1001)])
+        ones = np.ones_like(c)
+        array = stats._fisher(c, ones, ones, 0.05).p_value
+        scalar = np.array([stats._fisher(float(x), 1.0, 1.0, 0.05).p_value for x in c])
+        assert np.array_equal(array.view(np.uint64), scalar.view(np.uint64))
+        assert np.all((array >= 0.0) & (array <= 1.0))
+        assert array[-1] == 1.0 and array[-1001] == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fisher_combination(0.5, 0.5, 1.5, 0.05)

@@ -42,6 +42,10 @@ ARTIFACTS = {
                           "--n", "50", "--p", "10", "--seed", "4"],
     "sample-fvml.csv": ["sample", "--model", "fvml", "--kappa", "1e300", "--n", "50", "--p", "10",
                         "--seed", "5"],
+    # a heavy-tailed sample whose packing p-value (about 1.5e-17) feeds the combined p-value
+    "sample-cauchy.csv": ["sample", "--model", "alpha-spherical", "--marginal", "cauchy",
+                          "--n", "100", "--p", "100", "--seed", "3"],
+    "test-cauchy.json": ["test", "sample-cauchy.csv", "--format", "json"],
 }
 
 # the CSV comment line and the top-level JSON key that hold the run's timestamp
