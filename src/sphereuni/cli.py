@@ -55,7 +55,7 @@ from .sampling import (
     _row_norms,
     sample_from_model,
 )
-from .stats import run_all_tests
+from .stats import _check_level, run_all_tests
 
 NORMALIZE_NOTICE_TOL = 1e-6
 
@@ -460,8 +460,7 @@ def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:
 
 def cmd_test(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    if not 0.0 < config["level"] < 1.0:  # before the data are read
-        raise CliError("level must lie in (0, 1)")
+    _check_level(config["level"])  # before the data are read
     sample = load_data_csv(args.input)
     outcomes = run_all_tests(sample, config["level"])
     config = _insert_after(config, "command", input=args.input, n=sample.n, p=sample.p)

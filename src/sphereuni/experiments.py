@@ -32,6 +32,7 @@ from scipy import stats as scipy_stats
 from . import _kernels
 from ._parallel import blas_pin, thread_map
 from ._parallel import resolve_workers as _resolve_workers
+from .oracles import null_max_reference
 from .sampling import (
     AlternativeModel,
     HeavyTailMarginal,
@@ -294,7 +295,7 @@ def run_packing_lln_diagnostic(
     threads: int = 0,
 ) -> DiagnosticReport:
     """Location of the largest absolute inner product: near 1 under
-    heavy tails, near sqrt(4 log n / p) under uniformity.
+    heavy tails, near ``oracles.null_max_reference(n, p)`` under uniformity.
 
     Accepts a bare marginal (wrapped as its spherical projection) or any
     AlternativeModel, so the uniform reference runs through the same path.
@@ -312,7 +313,7 @@ def run_packing_lln_diagnostic(
         metrics={
             "median_max_abs_inner": float(np.quantile(max_abs, 0.5)),
             "q10_max_abs_inner": float(np.quantile(max_abs, 0.1)),
-            "null_max_reference": math.sqrt(4.0 * math.log(n) / p),
+            "null_max_reference": null_max_reference(n, p),
             "packing_rate": float(results["packing"].reject.mean()),
         },
     )

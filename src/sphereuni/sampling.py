@@ -43,6 +43,13 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_shape(n: int, p: int) -> None:
+    """The one shape rule of a sample: integers n and p, both positive."""
+    _check_integers(n=n, p=p)
+    if n < 1 or p < 1:
+        raise ValueError("n and p must be positive")
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """A reproducible stream address: (master seed, replication index).
@@ -92,15 +99,15 @@ def _norm_deviation(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphericalSample:
-    """n points on S^{p-1}, one per row."""
+    """n points on S^{p-1}, one per row; `_check_shape` refuses an n or p
+    that is not a positive integer, a float or a bool included."""
 
     n: int
     p: int
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive")
+        _check_shape(self.n, self.p)
         if self.rows.shape != (self.n, self.p):
             raise ValueError(f"rows must have shape ({self.n}, {self.p})")
         worst = float(_norm_deviation(self.rows))
@@ -175,10 +182,11 @@ class AlternativeModel:
     """Data-generating law: uniform, alpha-spherical, or FvML.
 
     The one check of a model's fields: each kind refuses a field it does not
-    read.  alpha_spherical reads its marginal, fvml its concentration kappa,
-    and uniform neither.  FvML draws a fresh unit mean direction from each
-    sample's own stream before its cosines; the tests are rotation
-    invariant, so the direction does not affect rejection rates.
+    read.  alpha_spherical reads its marginal, which must be a
+    HeavyTailMarginal (None or any other value is refused), fvml its
+    concentration kappa, and uniform neither.  FvML draws a fresh unit mean
+    direction from each sample's own stream before its cosines; the tests
+    are rotation invariant, so the direction does not affect rejection rates.
     """
 
     kind: str
@@ -188,8 +196,9 @@ class AlternativeModel:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "alpha_spherical", "fvml"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "alpha_spherical" and self.marginal is None:
-            raise ValueError("model alpha_spherical needs a marginal")
+        if self.kind == "alpha_spherical" and not isinstance(self.marginal, HeavyTailMarginal):
+            raise ValueError(f"model alpha_spherical needs a marginal (a HeavyTailMarginal), "
+                             f"got {self.marginal!r}")
         if self.kind != "alpha_spherical" and self.marginal is not None:
             raise ValueError(f"model {self.kind} takes no marginal")
         if self.kind != "fvml" and self.kappa != 0.0:
@@ -270,8 +279,10 @@ def draw_marginal(marginal: HeavyTailMarginal, count: int, seed: SeedSpec) -> np
 
     A tiny tail parameter (``student_t(1e-5)``, ``pareto(1e-300)``) draws
     values beyond the float range; those come back as +-inf, without a
-    warning.
+    warning.  `count` must be a positive integer; a float or a bool is
+    refused before any draw.
     """
+    _check_integers(count=count)
     if count < 1:
         raise ValueError("count must be positive")
     return _draw_raw(marginal, count, seed.generator())
@@ -374,9 +385,11 @@ def _sample_block(model: AlternativeModel, p: int, seeds, out: np.ndarray) -> No
 
 
 def sample_from_model(model: AlternativeModel, n: int, p: int, seed: SeedSpec) -> SphericalSample:
-    """Draw n rows from the model; one stream drives everything."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
+    """Draw n rows from the model; one stream drives everything.
+
+    `_check_shape` and the model's p rule refuse a bad n or p before any draw.
+    """
+    _check_shape(n, p)
     _check_model_dimension(model, p)
     rows = np.empty((1, n, p))
     _sample_block(model, p, [seed], rows)

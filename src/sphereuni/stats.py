@@ -118,11 +118,17 @@ _COMPONENTS = (
 )
 
 
-def fisher_threshold(level: float) -> float:
-    """Cutoff for the smallest p-value: 1 - (1-level)^(1/3), as -expm1(log1p(-level)/3)
-    so that a tiny level keeps its digits instead of cancelling to 0."""
+def _check_level(level: float) -> None:
+    """The one level rule of a request: 0 < level < 1, which also refuses NaN."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+
+
+def fisher_threshold(level: float) -> float:
+    """Cutoff for the smallest p-value: 1 - (1-level)^(1/3), as -expm1(log1p(-level)/3)
+    so that a tiny level keeps its digits instead of cancelling to 0.  A level
+    outside (0, 1) is refused by `_check_level`."""
+    _check_level(level)
     return -math.expm1(math.log1p(-level) / 3.0)
 
 
@@ -162,13 +168,13 @@ def fisher_combination(
 
 
 def _check_request(n: int, p: int, level: float) -> None:
-    """Reject a shape or level that `evaluate_tests` cannot score: the one check of both."""
+    """Reject a shape or level that `evaluate_tests` cannot score: the one shape check
+    of a scored request, and `_check_level`."""
     _check_integers(n=n, p=p)
     # the combined test needs the packing p-value, which needs n >= 3
     if n < 3 or p < 1:
         raise ValueError("need n >= 3 and p >= 1")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    _check_level(level)
 
 
 def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArrays]:

@@ -61,6 +61,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(n=2)  # packing/fisher need n >= 3
 
+    def test_string_marginal_is_refused_before_the_plan(self):
+        with pytest.raises(ValueError, match="^model alpha_spherical needs a marginal"):
+            ExperimentPlan(n=10, p=5, model=AlternativeModel("alpha_spherical", "cauchy"),
+                           replications=3)
+
     def test_fvml_needs_p_at_least_2_before_any_replication(self):
         with pytest.raises(ValueError, match=r"FvML sampling needs p >= 2"):
             small_plan(p=1, model=AlternativeModel.fvml(1.0))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sphereuni import sampling
 from sphereuni.sampling import (
     AlternativeModel,
     HeavyTailMarginal,
@@ -76,6 +77,14 @@ class TestSphericalSample:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             SphericalSample(n=2, p=2, rows=np.eye(3))
+
+    @pytest.mark.parametrize("n, p, message", [(True, 2, "n must be an integer, got True"),
+                                               (1.0, 2, "n must be an integer, got 1.0"),
+                                               (1, 2.0, "p must be an integer, got 2.0")],
+                             ids=["n-bool", "n-float", "p-float"])
+    def test_non_integer_shape_is_refused(self, n, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SphericalSample(n=n, p=p, rows=np.array([[1.0, 0.0]]))
 
     def test_rows_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="rows must be a 2-d array"):
@@ -180,6 +189,15 @@ class TestDrawMarginal:
             HeavyTailMarginal("lognormal")
         with pytest.raises(ValueError):
             draw_marginal(CAUCHY, 0, SeedSpec(1))
+
+    @pytest.mark.parametrize("count", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_count_is_refused_before_any_draw(self, count, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("drew before the count was checked")
+
+        monkeypatch.setattr(sampling, "_draw_raw", unreachable)
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {count!r}$"):
+            draw_marginal(CAUCHY, count, SeedSpec(0))
 
     @pytest.mark.parametrize("kind", ["cauchy", "centered_chisq1"])
     def test_parameter_of_a_parameterless_kind_is_rejected(self, kind):
@@ -392,6 +410,8 @@ class TestAlternativeModel:
             ("uniform", {"kappa": 1.0}, "model uniform takes no kappa"),
             ("uniform", {"kappa": math.nan}, "model uniform takes no kappa"),
             ("alpha_spherical", {}, "model alpha_spherical needs a marginal"),
+            ("alpha_spherical", {"marginal": "cauchy"},
+             "^model alpha_spherical needs a marginal .*got 'cauchy'$"),
             ("alpha_spherical", {"marginal": CAUCHY, "kappa": 1.0},
              "model alpha_spherical takes no kappa"),
             ("fvml", {"marginal": CAUCHY, "kappa": 1.0}, "model fvml takes no marginal"),
@@ -399,12 +419,22 @@ class TestAlternativeModel:
               for kappa in (-0.5, math.inf, math.nan)),
         ],
         ids=["unknown", "uniform-marginal", "uniform-kappa", "uniform-kappa-nan",
-             "alpha-no-marginal", "alpha-kappa", "fvml-marginal", "fvml-kappa-negative",
-             "fvml-kappa-inf", "fvml-kappa-nan"],
+             "alpha-no-marginal", "alpha-string-marginal", "alpha-kappa", "fvml-marginal",
+             "fvml-kappa-negative", "fvml-kappa-inf", "fvml-kappa-nan"],
     )
     def test_each_kind_refuses_the_fields_it_does_not_read(self, kind, fields, message):
         with pytest.raises(ValueError, match=message):
             AlternativeModel(kind, **fields)
+
+    @pytest.mark.parametrize("n, p", [(5.5, 3), (True, 3), (5, 2.0)],
+                             ids=["n-float", "n-bool", "p-float"])
+    def test_non_integer_shape_is_refused_before_any_draw(self, n, p, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("drew before the shape was checked")
+
+        monkeypatch.setattr(sampling, "_sample_block", unreachable)
+        with pytest.raises(ValueError, match=r"^[np] must be an integer, got "):
+            sample_from_model(AlternativeModel.uniform(), n, p, SeedSpec(0))
 
     def test_no_fixed_direction(self):
         with pytest.raises(TypeError):

@@ -1,11 +1,12 @@
 import math
+import traceback
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from sphereuni import _kernels, _parallel, stats
+from sphereuni import _kernels, _parallel, cli, stats
 from sphereuni.nulldist import NullLaw, upper_p_value
 from sphereuni.oracles import brute_statistics, random_rotation
 from sphereuni.sampling import SeedSpec, SphericalSample, sample_uniform_sphere
@@ -362,6 +363,22 @@ class TestRunAllTests:
         for n in (1, 2):
             with pytest.raises(ValueError, match=r"^need n >= 3 and p >= 1$"):
                 run_all_tests(identical_rows(n, 5), 0.05)
+
+
+class TestLevelRule:
+    def test_every_path_raises_from_check_level(self, tmp_path):
+        args = cli.build_parser().parse_args(["test", str(tmp_path / "missing.csv"),
+                                              "--level", "1.0"])
+        paths = {
+            "fisher_threshold": lambda: fisher_threshold(1.0),
+            "run_all_tests": lambda: run_all_tests(identical_rows(5, 5), 1.0),
+            "cmd_test": lambda: cli.cmd_test(args),  # before the missing file is read
+        }
+        for name, call in paths.items():
+            with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\)$") as info:
+                call()
+            raiser = traceback.extract_tb(info.value.__traceback__)[-1]
+            assert (raiser.name, raiser.filename) == ("_check_level", stats.__file__), name
 
 
 class TestInvariances:
