@@ -22,6 +22,8 @@ import os
 import threading
 from collections.abc import Callable, Iterable
 
+from .sampling import _check_integers
+
 __all__ = ["blas_pin", "resolve_workers", "thread_map"]
 
 
@@ -32,12 +34,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# the most threads per available CPU: each costs a stack and the engine a block buffer
+_WORKERS_PER_CPU = 8
+
+
 def resolve_workers(threads: int, items: int | None = None) -> int:
-    """Threads that run `items` work items: `threads`, or the CPUs available
-    to the process when it is 0, and never more threads than items."""
+    """Threads that run `items` work items: `threads`, an integer (`_check_integers`),
+    or the CPUs available to the process when it is 0; never more than
+    _WORKERS_PER_CPU per available CPU, and never more threads than items."""
+    _check_integers(threads=threads)
     if threads < 0:
         raise ValueError("threads must be >= 0")
-    workers = threads or _available_cpus()
+    cpus = _available_cpus()
+    workers = min(threads or cpus, _WORKERS_PER_CPU * cpus)
     return workers if items is None else max(1, min(workers, items))
 
 

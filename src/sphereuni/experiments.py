@@ -11,13 +11,13 @@ that ``run_all_tests`` uses for a single sample.
 
 Replications run in fixed blocks of up to 8 on the thread map, with
 OpenBLAS pinned to one thread: ``threads`` workers, or one per available
-CPU when it is 0, never more than there are blocks.  Each worker fills its
-own (B, n, p) block buffer; the block's normalization and Gram reductions
-run once per block.  Replication i depends on i alone, so results are
-bit-identical for every worker count and block split.  A replication whose
-sampler fails or whose reductions are not finite (a NaN row's are not)
-fails its block, which cancels blocks not yet started; the ``RuntimeError``
-names the lowest failing replication.
+CPU when it is 0, at most 8 per CPU and never more than there are blocks.
+Each worker fills its own (B, n, p) block buffer; the block's normalization
+and Gram reductions run once per block.  Replication i depends on i alone,
+so results are bit-identical for every worker count and block split.  A
+replication whose sampler fails or whose reductions are not finite (a NaN
+row's are not) fails its block, which cancels blocks not yet started; the
+``RuntimeError`` names the lowest failing replication.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .sampling import (
     SeedSpec,
     _check_integers,
     _check_model_dimension,
+    _check_real,
     _sample_block,
     sample_from_model,
 )
@@ -380,6 +381,7 @@ def run_fvml_packing_blindness(
     disjoint streams.  At this rate the packing test should keep its
     null rejection rate while the mean-direction test gains power.
     """
+    _check_real(tau=tau)
     if not 0.0 <= tau < math.inf:  # also rejects NaN
         raise ValueError("tau must be finite and >= 0")
     # the uniform plan checks n, p, replications, level and seed before kappa is computed

@@ -27,6 +27,8 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .sampling import _check_real
+
 __all__ = ["NullLaw", "cdf", "quantile", "upper_p_value", "GUMBEL_RATE",
            "normal_p_value", "gumbel_p_value"]
 
@@ -69,8 +71,9 @@ def cdf(law: NullLaw, x):
 
 
 def quantile(law: NullLaw, u: float) -> float:
-    """Inverse CDF on (0, 1)."""
-    u = float(u)
+    """Inverse CDF on (0, 1); `u` must be a real number (`_check_real`)."""
+    _check_real(u=u)
+    u = float(u)  # ndtri would take a numpy float32 at its own precision, and refuse a Fraction
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {u}")
     if law is NullLaw.STANDARD_NORMAL:

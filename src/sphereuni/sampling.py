@@ -13,6 +13,7 @@ bit-identical samples no matter where, when or in which block they run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,14 @@ def _check_integers(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(**values) -> None:
+    """The one real-number rule of a request: a Python or numpy real, never a bool,
+    a str, None, a complex number or an array.  Each caller keeps its own range test."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_shape(n: int, p: int) -> None:
@@ -100,7 +109,8 @@ def _norm_deviation(rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SphericalSample:
     """n points on S^{p-1}, one per row; `_check_shape` refuses an n or p
-    that is not a positive integer, a float or a bool included."""
+    that is not a positive integer, a float or a bool included.  `rows` must
+    be a numpy array; `from_rows` converts a list."""
 
     n: int
     p: int
@@ -108,6 +118,9 @@ class SphericalSample:
 
     def __post_init__(self) -> None:
         _check_shape(self.n, self.p)
+        if not isinstance(self.rows, np.ndarray):
+            raise ValueError(f"rows must be a numpy array, got {type(self.rows).__name__}; "
+                             "SphericalSample.from_rows converts other rows")
         if self.rows.shape != (self.n, self.p):
             raise ValueError(f"rows must have shape ({self.n}, {self.p})")
         worst = float(_norm_deviation(self.rows))
@@ -127,7 +140,9 @@ class HeavyTailMarginal:
     """Coordinate law whose projection to the sphere we sample.
 
     kind is one of "cauchy", "student_t", "pareto", "centered_chisq1";
-    param carries the t degrees of freedom or the Pareto tail index.
+    param carries the t degrees of freedom or the Pareto tail index, a real
+    number (`_check_real`).  The classmethods apply the same rule before they
+    store the float of their argument, so `student_t("3")` is refused too.
     """
 
     kind: str
@@ -137,10 +152,12 @@ class HeavyTailMarginal:
         if self.kind not in ("cauchy", "student_t", "pareto", "centered_chisq1"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if self.kind == "student_t":
-            if self.param is None or not 0.0 < self.param < math.inf:
+            _check_real(param=self.param)
+            if not 0.0 < self.param < math.inf:
                 raise ValueError("student_t needs finite degrees of freedom > 0")
         elif self.kind == "pareto":
-            if self.param is None or not 0.0 < self.param < 2.0:
+            _check_real(param=self.param)
+            if not 0.0 < self.param < 2.0:
                 raise ValueError("pareto tail index must lie in (0, 2)")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
@@ -151,10 +168,12 @@ class HeavyTailMarginal:
 
     @classmethod
     def student_t(cls, nu: float) -> "HeavyTailMarginal":
+        _check_real(param=nu)
         return cls("student_t", float(nu))
 
     @classmethod
     def pareto(cls, alpha: float) -> "HeavyTailMarginal":
+        _check_real(param=alpha)
         return cls("pareto", float(alpha))
 
     @classmethod
@@ -203,6 +222,7 @@ class AlternativeModel:
             raise ValueError(f"model {self.kind} takes no marginal")
         if self.kind != "fvml" and self.kappa != 0.0:
             raise ValueError(f"model {self.kind} takes no kappa")
+        _check_real(kappa=self.kappa)
         if not 0.0 <= self.kappa < math.inf:  # also rejects NaN
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
 
@@ -216,6 +236,7 @@ class AlternativeModel:
 
     @classmethod
     def fvml(cls, kappa: float) -> "AlternativeModel":
+        _check_real(kappa=kappa)
         return cls("fvml", kappa=float(kappa))
 
 
@@ -259,12 +280,12 @@ def _draw_raw(marginal: HeavyTailMarginal, count: int, rng: np.random.Generator)
             u = rng.random(count)
             return np.tan(np.pi * (u - 0.5))
         if marginal.kind == "student_t":
-            nu = marginal.param
+            nu = float(marginal.param)
             z = rng.standard_normal(count)
             v = rng.chisquare(nu, count)
             return z / np.sqrt(v / nu)
         if marginal.kind == "pareto":
-            alpha = marginal.param
+            alpha = float(marginal.param)
             u = rng.random(count)
             magnitude = (1.0 - u) ** (-1.0 / alpha)
             sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)

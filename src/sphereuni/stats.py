@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, nulldist
-from .sampling import SphericalSample, _check_integers
+from .sampling import SphericalSample, _check_integers, _check_real
 
 __all__ = [
     "TEST_NAMES",
@@ -119,7 +119,9 @@ _COMPONENTS = (
 
 
 def _check_level(level: float) -> None:
-    """The one level rule of a request: 0 < level < 1, which also refuses NaN."""
+    """The one level rule of a request: a real number (`_check_real`) with
+    0 < level < 1, which also refuses NaN."""
+    _check_real(level=level)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
 
@@ -153,9 +155,12 @@ def fisher_combination(
     This is Tippett's min-p rule, not Fisher's -2 * sum(log p); the name and
     the "fisher" test label are kept so that artifacts stay stable.
     """
+    _check_real(p_rayleigh=p_rayleigh, p_bingham=p_bingham, p_packing=p_packing)
+    # float64 for a numpy float32, which numpy would combine at its own precision,
+    # and for a Fraction, which numpy's log1p refuses
     ps = (float(p_rayleigh), float(p_bingham), float(p_packing))
     for q in ps:
-        if not 0.0 <= q <= 1.0 or math.isnan(q):
+        if not 0.0 <= q <= 1.0:  # also refuses NaN
             raise ValueError(f"p-values must lie in [0, 1], got {q}")
     c, combined, reject = _fisher(*ps, level)
     return TestOutcome(

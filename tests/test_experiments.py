@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import time
 import warnings
 from pathlib import Path
@@ -65,6 +66,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="^model alpha_spherical needs a marginal"):
             ExperimentPlan(n=10, p=5, model=AlternativeModel("alpha_spherical", "cauchy"),
                            replications=3)
+
+    @pytest.mark.parametrize("level", ["0.05", None, True], ids=["str", "none", "bool"])
+    def test_level_that_is_not_real_is_refused(self, level):
+        with pytest.raises(ValueError, match=f"^level must be a real number, got {level!r}$"):
+            ExperimentPlan(n=10, p=5, model=UNIFORM, replications=3, level=level)
 
     def test_fvml_needs_p_at_least_2_before_any_replication(self):
         with pytest.raises(ValueError, match=r"FvML sampling needs p >= 2"):
@@ -260,6 +266,17 @@ class TestFvmlBlindness:
         for n in (0, -4):
             with pytest.raises(ValueError, match="need n >= 3"):
                 run_fvml_packing_blindness(n, 5, 1.0, 2, 1)
+
+    @pytest.mark.parametrize("tau", ["1", None, True, 1 + 0j],
+                             ids=["str", "none", "bool", "complex"])
+    def test_tau_that_is_not_real_is_refused_before_any_replication(self, tau, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before tau was checked")
+
+        monkeypatch.setattr(experiments, "_simulate", unreachable)
+        message = f"^tau must be a real number, got {re.escape(repr(tau))}$"
+        with pytest.raises(ValueError, match=message):
+            run_fvml_packing_blindness(10, 5, tau, 3, 0)
 
     def test_deterministic_and_streams_disjoint(self):
         a = run_fvml_packing_blindness(30, 20, 0.5, 40, 7, threads=1)

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +83,18 @@ class TestQuantile:
     def test_domain(self, law, u):
         with pytest.raises(ValueError):
             quantile(law, u)
+
+    @pytest.mark.parametrize("u", ["0.5", None, True, 0.5 + 0j, np.array(0.5)],
+                             ids=["str", "none", "bool", "complex", "array"])
+    def test_argument_that_is_not_real_is_refused(self, u):
+        message = f"^u must be a real number, got {re.escape(repr(u))}$"
+        with pytest.raises(ValueError, match=message):
+            quantile(NORMAL, u)
+
+    @pytest.mark.parametrize("law", [NORMAL, GUMBEL])
+    @pytest.mark.parametrize("u", [np.float32(0.975), Fraction(3, 4)], ids=["float32", "fraction"])
+    def test_any_real_argument_gives_the_float64_quantile(self, law, u):
+        assert quantile(law, u) == quantile(law, float(u))
 
 
 class TestUpperPValue:

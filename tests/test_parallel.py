@@ -6,6 +6,8 @@ import time
 import pytest
 
 from sphereuni import _parallel
+from sphereuni.experiments import ExperimentPlan, run_rejection_experiment
+from sphereuni.sampling import AlternativeModel
 
 
 def test_thread_map_runs_each_item_once_in_order_under_contention():
@@ -110,3 +112,37 @@ def test_blas_pin_restores_the_count_when_its_block_raises():
         assert get() == 2
     finally:
         set_(before)
+
+
+@pytest.mark.parametrize("threads", [2.5, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_resolve_workers_applies_the_integer_rule(threads):
+    with pytest.raises(ValueError, match=f"^threads must be an integer, got {threads!r}$"):
+        _parallel.resolve_workers(threads)
+
+
+def test_resolve_workers_never_exceeds_eight_per_cpu(monkeypatch):
+    monkeypatch.setattr(_parallel, "_available_cpus", lambda: 2)
+    assert _parallel.resolve_workers(100_000) == 16
+    assert _parallel.resolve_workers(100_000, items=100_000) == 16
+    assert _parallel.resolve_workers(100_000, items=10) == 10
+    assert _parallel.resolve_workers(0, items=100_000) == 2
+    assert _parallel.resolve_workers(5) == 5
+
+
+def test_engine_starts_at_most_eight_threads_per_cpu(monkeypatch):
+    monkeypatch.setattr(_parallel, "_available_cpus", lambda: 1)
+    started = []
+    real = threading.Thread
+
+    class Counted(real):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(_parallel.threading, "Thread", Counted)
+    # 25 blocks of 8 replications
+    plan = ExperimentPlan(n=3, p=2, model=AlternativeModel.uniform(), replications=200,
+                          master_seed=1)
+    result = run_rejection_experiment(plan, threads=100_000)
+    assert len(started) == 7  # 8 workers, the calling thread among them
+    assert result == run_rejection_experiment(plan, threads=1)

@@ -139,8 +139,8 @@ def test_test_command_loads_and_tests_once(tmp_path, monkeypatch):
 
 def test_import_of_the_cli_loads_scipy_stats():
     """perfbench/run.py:159-160 fails a traced run whose `-X importtime` shows no
-    `scipy.stats` under `import sphereuni.cli`.  ROADMAP item 6's benchmark change,
-    which makes an import without it a valid reading, retires this check."""
+    `scipy.stats` under `import sphereuni.cli`.  The harness step of ROADMAP's cold-start
+    item, which makes an import without it a valid reading, retires this check."""
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

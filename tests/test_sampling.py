@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +88,11 @@ class TestSphericalSample:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SphericalSample(n=n, p=p, rows=np.array([[1.0, 0.0]]))
 
+    def test_rows_that_are_not_an_array_are_refused(self):
+        with pytest.raises(ValueError, match=r"^rows must be a numpy array, got list; "
+                                             r"SphericalSample\.from_rows converts"):
+            SphericalSample(n=1, p=2, rows=[[1.0, 0.0]])
+
     def test_rows_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="rows must be a 2-d array"):
             SphericalSample.from_rows(np.ones(3))
@@ -95,6 +102,49 @@ class TestSphericalSample:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="row norms deviate from 1 by up to inf"):
                 SphericalSample.from_rows(np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
+# values that are not a real number: a str, None, a bool, a complex number, an array
+NOT_REAL = ["3", None, True, np.True_, 1.5 + 0j, np.array(1.5)]
+NOT_REAL_IDS = ["str", "none", "bool", "numpy-bool", "complex", "array"]
+
+
+class TestRealRule:
+    """`_check_real` is the one type test of a marginal's param and a model's kappa."""
+
+    @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+    @pytest.mark.parametrize("make", [
+        lambda v: HeavyTailMarginal("student_t", v),
+        lambda v: HeavyTailMarginal("pareto", v),
+        HeavyTailMarginal.student_t,
+        HeavyTailMarginal.pareto,
+    ], ids=["student_t", "pareto", "student_t-classmethod", "pareto-classmethod"])
+    def test_param_that_is_not_real_is_refused(self, make, value):
+        message = f"^param must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            make(value)
+
+    @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+    @pytest.mark.parametrize("make", [lambda v: AlternativeModel("fvml", kappa=v),
+                                      AlternativeModel.fvml], ids=["fvml", "fvml-classmethod"])
+    def test_kappa_that_is_not_real_is_refused(self, make, value):
+        message = f"^kappa must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            make(value)
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), np.float32(1.5)],
+                             ids=["fraction", "numpy-float32"])
+    def test_any_real_param_draws_the_bits_of_its_float(self, value):
+        for kind in ("student_t", "pareto"):
+            direct = draw_marginal(HeavyTailMarginal(kind, value), 50, SeedSpec(4))
+            built = getattr(HeavyTailMarginal, kind)(value)
+            assert type(built.param) is float
+            np.testing.assert_array_equal(direct, draw_marginal(built, 50, SeedSpec(4)))
+        model = AlternativeModel("fvml", kappa=value)
+        np.testing.assert_array_equal(
+            sample_from_model(model, 6, 3, SeedSpec(4)).rows,
+            sample_from_model(AlternativeModel.fvml(value), 6, 3, SeedSpec(4)).rows,
+        )
 
 
 class TestRowNorms:

@@ -1,6 +1,8 @@
 import math
+import re
 import traceback
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +329,24 @@ class TestFisherCombination:
         with pytest.raises(ValueError):
             fisher_combination(0.5, 0.5, 0.5, 1.0)
 
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("value", ["0.5", None, True, 0.5 + 0j],
+                             ids=["str", "none", "bool", "complex"])
+    def test_p_value_that_is_not_real_is_refused(self, position, value):
+        ps = [0.5, 0.5, 0.5]
+        ps[position] = value
+        name = ("p_rayleigh", "p_bingham", "p_packing")[position]
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, "
+                                             f"got {re.escape(repr(value))}$"):
+            fisher_combination(*ps, 0.05)
+
+    @pytest.mark.parametrize("low", [np.float32(0.01), Fraction(1, 100), 0],
+                             ids=["float32", "fraction", "int"])
+    def test_any_real_p_value_combines_at_float64(self, low):
+        outcome = fisher_combination(low, 0.5, 1, 0.05)
+        expected = fisher_combination(float(low), 0.5, 1.0, 0.05)
+        assert outcome == expected
+
 
 class TestRunAllTests:
     def test_outcome_contract(self):
@@ -379,6 +399,26 @@ class TestLevelRule:
                 call()
             raiser = traceback.extract_tb(info.value.__traceback__)[-1]
             assert (raiser.name, raiser.filename) == ("_check_level", stats.__file__), name
+
+
+    @pytest.mark.parametrize("level", ["0.05", None, True, 0.05 + 0j, np.array(0.05)],
+                             ids=["str", "none", "bool", "complex", "array"])
+    def test_level_that_is_not_real_is_refused_by_check_real(self, level, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("reduced before the level was checked")
+
+        monkeypatch.setattr(_kernels, "pairwise_reduce", unreachable)
+        paths = {
+            "fisher_threshold": lambda: fisher_threshold(level),
+            "run_all_tests": lambda: run_all_tests(identical_rows(5, 5), level),
+            "fisher_combination": lambda: fisher_combination(0.5, 0.5, 0.5, level),
+        }
+        for name, call in paths.items():
+            with pytest.raises(ValueError, match=f"^level must be a real number, "
+                                                 f"got {re.escape(repr(level))}$") as info:
+                call()
+            raiser = traceback.extract_tb(info.value.__traceback__)[-1]
+            assert raiser.name == "_check_real", name
 
 
 class TestInvariances:
