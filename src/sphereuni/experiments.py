@@ -40,6 +40,7 @@ from .sampling import (
     _check_integers,
     _check_model_dimension,
     _check_real,
+    _check_shape,
     _sample_block,
     sample_from_model,
 )
@@ -361,8 +362,16 @@ def run_independence_diagnostic(
 
 
 def fvml_kappa(n: int, p: int, tau: float) -> float:
-    """Concentration tau * p^(3/4) / sqrt(n), the detection-boundary rate."""
-    return tau * p**0.75 / math.sqrt(n)
+    """Concentration tau * p^(3/4) / sqrt(n), the detection-boundary rate, and the one
+    owner of its rule: n and p as `_check_shape`, a real tau, finite and >= 0."""
+    _check_shape(n, p)
+    _check_real(tau=tau)
+    if not 0.0 <= tau < math.inf:  # also rejects NaN
+        raise ValueError("tau must be finite and >= 0")
+    kappa = float(tau) * p**0.75 / math.sqrt(n)  # float64 for a numpy float32 tau too
+    if not math.isfinite(kappa):
+        raise ValueError(f"tau = {tau} is too large: kappa = tau * p^(3/4) / sqrt(n) overflows")
+    return kappa
 
 
 def run_fvml_packing_blindness(
@@ -381,17 +390,12 @@ def run_fvml_packing_blindness(
     disjoint streams.  At this rate the packing test should keep its
     null rejection rate while the mean-direction test gains power.
     """
-    _check_real(tau=tau)
-    if not 0.0 <= tau < math.inf:  # also rejects NaN
-        raise ValueError("tau must be finite and >= 0")
-    # the uniform plan checks n, p, replications, level and seed before kappa is computed
+    # the uniform plan checks n, p, replications, level and seed before fvml_kappa checks tau
     null_plan = ExperimentPlan(
         n=n, p=p, model=AlternativeModel.uniform(), replications=replications, level=level,
         master_seed=master_seed,
     )
     kappa = fvml_kappa(n, p, tau)
-    if not math.isfinite(kappa):
-        raise ValueError(f"tau = {tau} is too large: kappa = tau * p^(3/4) / sqrt(n) overflows")
     _, alt = _simulate(replace(null_plan, model=AlternativeModel.fvml(kappa)), threads)
     _, null = _simulate(null_plan, threads, seed_offset=replications)
     packing_rate = float(alt["packing"].reject.mean())

@@ -81,23 +81,18 @@ def quantile(law: NullLaw, u: float) -> float:
     return -2.0 * math.log(-math.log(u) / GUMBEL_RATE)
 
 
-def _clamped(p: np.ndarray) -> float | np.ndarray:
-    # minimum/maximum rather than np.clip, whose Python overhead dominates a scalar call
-    return _unwrap(np.minimum(np.maximum(p, 0.0), 1.0))
-
-
 def normal_p_value(statistic, n: int, p: int):
-    """Upper-tail p-value under N(0, 1), clamped to [0, 1]; reads neither n nor p."""
-    return _clamped(ndtr(-_as_array(statistic, "statistic")))
+    """Upper-tail p-value under N(0, 1), in [0, 1]; reads neither n nor p."""
+    return _unwrap(ndtr(-_as_array(statistic, "statistic")))
 
 
 def gumbel_p_value(statistic, n: int, p: int):
-    """Upper-tail p-value under the packing Gumbel law, clamped to [0, 1]; reads neither n nor p."""
-    # 1 - exp(-term) via expm1 keeps precision when G is near 1
-    return _clamped(-np.expm1(-_gumbel_tail_term(_as_array(statistic, "statistic"))))
+    """Upper-tail p-value under the packing Gumbel law, in [0, 1]; reads neither n nor p."""
+    # 1 - exp(-term) via expm1 keeps precision when G is near 1, and term >= 0 keeps it in [0, 1]
+    return _unwrap(-np.expm1(-_gumbel_tail_term(_as_array(statistic, "statistic"))))
 
 
 def upper_p_value(law: NullLaw, statistic):
-    """Upper-tail p-value 1 - cdf(law, statistic), clamped to [0, 1], by the law's row function."""
+    """Upper-tail p-value 1 - cdf(law, statistic) in [0, 1], by the law's row function."""
     p_value = normal_p_value if law is NullLaw.STANDARD_NORMAL else gumbel_p_value
     return p_value(statistic, n=None, p=None)

@@ -141,8 +141,8 @@ class HeavyTailMarginal:
 
     kind is one of "cauchy", "student_t", "pareto", "centered_chisq1";
     param carries the t degrees of freedom or the Pareto tail index, a real
-    number (`_check_real`).  The classmethods apply the same rule before they
-    store the float of their argument, so `student_t("3")` is refused too.
+    number (`_check_real`) in its range, stored as its float64, so the
+    classmethods and the draws take it as it is.
     """
 
     kind: str
@@ -151,14 +151,13 @@ class HeavyTailMarginal:
     def __post_init__(self) -> None:
         if self.kind not in ("cauchy", "student_t", "pareto", "centered_chisq1"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
-        if self.kind == "student_t":
+        if self.kind in ("student_t", "pareto"):
             _check_real(param=self.param)
-            if not 0.0 < self.param < math.inf:
+            if self.kind == "student_t" and not 0.0 < self.param < math.inf:
                 raise ValueError("student_t needs finite degrees of freedom > 0")
-        elif self.kind == "pareto":
-            _check_real(param=self.param)
-            if not 0.0 < self.param < 2.0:
+            if self.kind == "pareto" and not 0.0 < self.param < 2.0:
                 raise ValueError("pareto tail index must lie in (0, 2)")
+            object.__setattr__(self, "param", float(self.param))
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 
@@ -168,13 +167,11 @@ class HeavyTailMarginal:
 
     @classmethod
     def student_t(cls, nu: float) -> "HeavyTailMarginal":
-        _check_real(param=nu)
-        return cls("student_t", float(nu))
+        return cls("student_t", nu)
 
     @classmethod
     def pareto(cls, alpha: float) -> "HeavyTailMarginal":
-        _check_real(param=alpha)
-        return cls("pareto", float(alpha))
+        return cls("pareto", alpha)
 
     @classmethod
     def centered_chisq1(cls) -> "HeavyTailMarginal":
@@ -203,9 +200,10 @@ class AlternativeModel:
     The one check of a model's fields: each kind refuses a field it does not
     read.  alpha_spherical reads its marginal, which must be a
     HeavyTailMarginal (None or any other value is refused), fvml its
-    concentration kappa, and uniform neither.  FvML draws a fresh unit mean
-    direction from each sample's own stream before its cosines; the tests
-    are rotation invariant, so the direction does not affect rejection rates.
+    concentration kappa, stored as its float64, and uniform neither.  FvML
+    draws a fresh unit mean direction from each sample's own stream before
+    its cosines; the tests are rotation invariant, so the direction does not
+    affect rejection rates.
     """
 
     kind: str
@@ -225,6 +223,7 @@ class AlternativeModel:
         _check_real(kappa=self.kappa)
         if not 0.0 <= self.kappa < math.inf:  # also rejects NaN
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        object.__setattr__(self, "kappa", float(self.kappa))
 
     @classmethod
     def uniform(cls) -> "AlternativeModel":
@@ -236,8 +235,7 @@ class AlternativeModel:
 
     @classmethod
     def fvml(cls, kappa: float) -> "AlternativeModel":
-        _check_real(kappa=kappa)
-        return cls("fvml", kappa=float(kappa))
+        return cls("fvml", kappa=kappa)
 
 
 def _normalize_rows(raw: np.ndarray, what: str) -> None:
@@ -280,14 +278,13 @@ def _draw_raw(marginal: HeavyTailMarginal, count: int, rng: np.random.Generator)
             u = rng.random(count)
             return np.tan(np.pi * (u - 0.5))
         if marginal.kind == "student_t":
-            nu = float(marginal.param)
+            nu = marginal.param
             z = rng.standard_normal(count)
             v = rng.chisquare(nu, count)
             return z / np.sqrt(v / nu)
         if marginal.kind == "pareto":
-            alpha = float(marginal.param)
             u = rng.random(count)
-            magnitude = (1.0 - u) ** (-1.0 / alpha)
+            magnitude = (1.0 - u) ** (-1.0 / marginal.param)
             sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
             return sign * magnitude
         # centered_chisq1: chi^2(1) has mean 1 and variance 2
@@ -384,7 +381,7 @@ def _draw_rows(model: AlternativeModel, p: int, seed: SeedSpec, out: np.ndarray)
         # fresh direction per sample, drawn ahead of the cosines
         mu = rng.standard_normal(p)
         mu /= np.linalg.norm(mu)
-        t = _fvml_cosines(n, p, float(model.kappa), rng)
+        t = _fvml_cosines(n, p, model.kappa, rng)
         x = rng.standard_normal((n, p))  # Gaussian rows projected orthogonal to mu
         out[...] = x - np.outer(x @ mu, mu)
         _normalize_rows(out, "fvml sampler")

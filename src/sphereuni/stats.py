@@ -207,7 +207,7 @@ def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutc
             statistic=float(r.statistic),
             p_value=float(r.p_value),
             reject=bool(r.reject),
-            level=level,
+            level=float(level),
         )
         for name, r in results.items()
     ]

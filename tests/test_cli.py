@@ -463,6 +463,12 @@ class TestDiagnose:
         doc = json.loads(out.read_text())
         assert abs(doc["metrics"]["packing_rate"] - doc["metrics"]["packing_rate_null"]) <= 0.05
 
+    def test_sampler_that_gives_up_exits_1(self, fvml_never_accepts, capsys):
+        assert run_cli("diagnose", "fvml-blindness", "--n", "10", "--p", "5", "--tau", "1",
+                       "--reps", "2", "--seed", "1", "--threads", "1") == 1
+        assert ("RuntimeError: replication 0 failed: FvML cosine sampler failed to accept "
+                "after 1000 rounds") in capsys.readouterr().err
+
     def test_warning_is_one_line_without_source(self, capsys):
         assert run_cli("diagnose", "independence", "--n", "40", "--p", "30",
                        "--reps", "20", "--seed", "1") == 0

@@ -4,6 +4,7 @@ import os
 import re
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,12 @@ class TestBinghamScaling:
         with pytest.raises(ValueError, match=r"need n >= 3"):
             run_bingham_scaling_diagnostic(2, 4, CAUCHY, 25, 2)
 
+    def test_pareto_marginal_reads_its_tail_index(self):
+        rep = run_bingham_scaling_diagnostic(20, 10, HeavyTailMarginal.pareto(1.2), 30, 2,
+                                             threads=1)
+        assert rep.metrics["alpha"] == 1.2
+        assert rep.metrics["theoretical_sd"] == 0.8 / math.sqrt(8.0 * 10 / 20)
+
 
 class TestPackingLln:
     def test_cauchy_median_near_one(self):
@@ -245,6 +252,25 @@ class TestFvmlBlindness:
     def test_kappa_rate(self):
         assert fvml_kappa(100, 100, 1.0) == pytest.approx(100**0.75 / 10.0)
 
+    @pytest.mark.parametrize("n, p, tau, message", [
+        (10, 5, "1", "^tau must be a real number, got '1'$"),
+        (10, 5, True, "^tau must be a real number, got True$"),
+        (0, 5, 1.0, "^n and p must be positive$"),
+        (2.5, 5, 1.0, "^n must be an integer, got 2.5$"),
+        (10, 5, math.nan, "^tau must be finite and >= 0$"),
+        (10, 5, -1.0, "^tau must be finite and >= 0$"),
+        (10, 5, 1e308, r"^tau = 1e\+308 is too large"),
+    ], ids=["str", "bool", "zero-n", "float-n", "nan", "negative", "overflow"])
+    def test_kappa_rate_owns_its_rule(self, n, p, tau, message):
+        with pytest.raises(ValueError, match=message):
+            fvml_kappa(n, p, tau)
+
+    @pytest.mark.parametrize("tau", [np.float32(1.5), Fraction(3, 2)],
+                             ids=["numpy-float32", "fraction"])
+    def test_kappa_rate_is_a_float64(self, tau):
+        kappa = fvml_kappa(10, 5, tau)
+        assert type(kappa) is float and kappa == fvml_kappa(10, 5, 1.5)
+
     def test_tau_zero_matches_null(self):
         rep = run_fvml_packing_blindness(100, 100, 0.0, 500, 20260817, threads=4)
         assert rep.metrics["kappa"] == 0.0
@@ -285,6 +311,13 @@ class TestFvmlBlindness:
 
 
 class TestReplicationErrorAnnotation:
+    def test_fvml_sampler_that_gives_up_names_its_replication(self, fvml_never_accepts):
+        plan = ExperimentPlan(n=5, p=3, model=AlternativeModel.fvml(1.0), replications=3,
+                              master_seed=1)
+        with pytest.raises(RuntimeError, match="^replication 0 failed: FvML cosine sampler "
+                                               "failed to accept after 1000 rounds$"):
+            run_rejection_experiment(plan, threads=1)
+
     def test_failure_names_replication(self, monkeypatch):
         real = sampling._draw_rows
 

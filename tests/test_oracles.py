@@ -26,6 +26,20 @@ from sphereuni.stats import (
 )
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: alpha_fourth_inner_moment(2.0, 10), r"alpha must lie in \(0, 2\)"),
+    (lambda: alpha_fourth_inner_moment(0.0, 10), r"alpha must lie in \(0, 2\)"),
+    (lambda: alpha_fourth_inner_moment(1.0, 0), "p must be positive"),
+    (lambda: brute_statistics(SphericalSample.from_rows(np.eye(1, 3))), "need n >= 2"),
+    (lambda: null_max_reference(10, 0), "p must be positive"),
+    (lambda: random_rotation(0, SeedSpec(1)), "p must be positive"),
+], ids=["fourth-moment-alpha-2", "fourth-moment-alpha-0", "fourth-moment-p",
+        "brute-n", "null-max-p", "rotation-p"])
+def test_oracle_refuses_its_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestUniformInnerMoment:
     def test_tau_one_is_reciprocal_p(self):
         for p in (1, 2, 10, 250):

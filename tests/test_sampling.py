@@ -146,6 +146,19 @@ class TestRealRule:
             sample_from_model(AlternativeModel.fvml(value), 6, 3, SeedSpec(4)).rows,
         )
 
+    @pytest.mark.parametrize("value", [Fraction(3, 2), np.float32(1.5), 1],
+                             ids=["fraction", "numpy-float32", "int"])
+    def test_constructor_stores_the_float_the_classmethod_stores(self, value):
+        for kind in ("student_t", "pareto"):
+            direct = HeavyTailMarginal(kind, value)
+            assert type(direct.param) is float
+            assert repr(direct) == repr(getattr(HeavyTailMarginal, kind)(value))
+        model = AlternativeModel("fvml", kappa=value)
+        assert type(model.kappa) is float
+        assert repr(model) == repr(AlternativeModel.fvml(value))
+        assert model == AlternativeModel.fvml(float(value))
+        assert hash(model) == hash(AlternativeModel.fvml(float(value)))
+
 
 class TestRowNorms:
     # shapes of one chunk, several chunks, rows wider than a chunk, and blocks of samples
@@ -267,6 +280,10 @@ class TestDrawMarginal:
         assert HeavyTailMarginal.student_t(3.0).tail_index is None
         assert HeavyTailMarginal.centered_chisq1().tail_index is None
         assert not HeavyTailMarginal.centered_chisq1().is_symmetric
+
+    def test_pareto_tail_index_is_its_param(self):
+        assert HeavyTailMarginal.pareto(1.2).tail_index == 1.2
+        assert HeavyTailMarginal.student_t(2.5).tail_index is None
 
 
 class TestAlphaSphericalSampler:
@@ -431,6 +448,11 @@ class TestFvmlSampler:
         a = sample_fvml(12, 5, 2.0, SeedSpec(21, 4))
         b = sample_fvml(12, 5, 2.0, SeedSpec(21, 4))
         np.testing.assert_array_equal(a.rows, b.rows)
+
+    def test_gives_up_when_no_proposal_is_accepted(self, fvml_never_accepts):
+        with pytest.raises(RuntimeError,
+                           match="^FvML cosine sampler failed to accept after 1000 rounds$"):
+            _fvml_cosines(5, 3, 1.0, SeedSpec(1).generator())
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="kappa must be finite and >= 0"):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import traceback
@@ -372,6 +374,12 @@ class TestRunAllTests:
             run_all_tests(identical_rows(2, 5), 0.05)
         with pytest.raises(ValueError):
             run_all_tests(identical_rows(5, 5), 1.5)
+
+    def test_numpy_level_is_reported_as_a_float(self):
+        outcomes = run_all_tests(sample_uniform_sphere(30, 10, SeedSpec(75)), np.float32(0.05))
+        assert all(type(o.level) is float for o in outcomes)
+        assert [o.level for o in outcomes] == [float(np.float32(0.05))] * 4
+        json.dumps([dataclasses.asdict(o) for o in outcomes])
 
     def test_checks_the_request_before_the_kernel(self, monkeypatch):
         def unreachable(stack):

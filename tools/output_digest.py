@@ -37,6 +37,9 @@ ARTIFACTS = {
     },
     **{f"test.{fmt}": ["test", "sample.csv", "--format", fmt] for fmt in ("csv", "json")},
     **{f"diagnose-{kind}.json": ["diagnose", kind, *DIAGNOSE] for kind in cli.DIAGNOSE_KINDS},
+    # the one diagnostic path that reads a pareto marginal's tail index
+    "diagnose-bingham-scaling-pareto.json": ["diagnose", "bingham-scaling", "--marginal",
+                                             "pareto:1.2", *DIAGNOSE],
     # the normalization's edge paths: rows whose norm overflows, and FvML at huge kappa
     "sample-pareto.csv": ["sample", "--model", "alpha-spherical", "--marginal", "pareto:1e-300",
                           "--n", "50", "--p", "10", "--seed", "4"],
