@@ -82,7 +82,7 @@ class ExperimentPlan:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_request(self.n, self.p, self.level)
+        object.__setattr__(self, "level", _check_request(self.n, self.p, self.level))
         _check_model_dimension(self.model, self.p)
         _check_integers(replications=self.replications)
         if self.replications < 1:
@@ -363,12 +363,12 @@ def run_independence_diagnostic(
 
 def fvml_kappa(n: int, p: int, tau: float) -> float:
     """Concentration tau * p^(3/4) / sqrt(n), the detection-boundary rate, and the one
-    owner of its rule: n and p as `_check_shape`, a real tau, finite and >= 0."""
+    owner of its rule: n and p as `_check_shape`, a real tau (`_check_real`), finite and >= 0."""
     _check_shape(n, p)
-    _check_real(tau=tau)
+    tau = _check_real("tau", tau)
     if not 0.0 <= tau < math.inf:  # also rejects NaN
         raise ValueError("tau must be finite and >= 0")
-    kappa = float(tau) * p**0.75 / math.sqrt(n)  # float64 for a numpy float32 tau too
+    kappa = tau * p**0.75 / math.sqrt(n)
     if not math.isfinite(kappa):
         raise ValueError(f"tau = {tau} is too large: kappa = tau * p^(3/4) / sqrt(n) overflows")
     return kappa

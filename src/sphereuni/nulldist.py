@@ -9,14 +9,14 @@ All three tests reject in the upper tail, so p-values are survival
 probabilities.  ``stats`` scores each test through a ``p_value(statistic,
 n, p)``; the two here, ``normal_p_value`` and ``gumbel_p_value``, are limit
 laws that read neither n nor p, and ``upper_p_value(law, statistic)`` picks
-one by law.  The normal CDF goes through the complementary error function
-(scipy's ``ndtr``/``ndtri``), which stays accurate deep in both tails; the
-Gumbel law has closed forms throughout.
+one by law, which must be a ``NullLaw`` member.  The normal CDF goes
+through the complementary error function (scipy's ``ndtr``/``ndtri``),
+which stays accurate deep in both tails; the Gumbel law has closed forms.
 
 ``cdf`` and the p-values work elementwise: a scalar argument gives a
-float, an array gives an array.  Scalars go through the same numpy code
-as arrays, so a p-value computed for one sample is bit-identical to the
-same entry of a vectorized Monte Carlo run.
+float, an array gives an array, by the same numpy code, so a p-value for
+one sample is bit-identical to its entry in a vectorized Monte Carlo run.
+``quantile`` range-tests and inverts the float64 that ``_check_real`` returns.
 """
 
 from __future__ import annotations
@@ -62,8 +62,14 @@ def _gumbel_tail_term(x: np.ndarray) -> np.ndarray:
     return GUMBEL_RATE * np.exp(np.minimum(-0.5 * x, _MAX_EXPONENT))
 
 
+def _check_law(law) -> None:
+    if not isinstance(law, NullLaw):
+        raise ValueError(f"law must be a NullLaw, got {law!r}")
+
+
 def cdf(law: NullLaw, x):
     """P(statistic <= x) under the null law."""
+    _check_law(law)
     values = _as_array(x, "x")
     if law is NullLaw.STANDARD_NORMAL:
         return _unwrap(ndtr(values))
@@ -71,9 +77,9 @@ def cdf(law: NullLaw, x):
 
 
 def quantile(law: NullLaw, u: float) -> float:
-    """Inverse CDF on (0, 1); `u` must be a real number (`_check_real`)."""
-    _check_real(u=u)
-    u = float(u)  # ndtri would take a numpy float32 at its own precision, and refuse a Fraction
+    """Inverse CDF on (0, 1), at the float64 of `u` that `_check_real` returns."""
+    _check_law(law)
+    u = _check_real("u", u)
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {u}")
     if law is NullLaw.STANDARD_NORMAL:
@@ -94,5 +100,6 @@ def gumbel_p_value(statistic, n: int, p: int):
 
 def upper_p_value(law: NullLaw, statistic):
     """Upper-tail p-value 1 - cdf(law, statistic) in [0, 1], by the law's row function."""
+    _check_law(law)
     p_value = normal_p_value if law is NullLaw.STANDARD_NORMAL else gumbel_p_value
     return p_value(statistic, n=None, p=None)

@@ -44,12 +44,15 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_real(**values) -> None:
-    """The one real-number rule of a request: a Python or numpy real, never a bool,
-    a str, None, a complex number or an array.  Each caller keeps its own range test."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+def _check_real(name: str, value) -> float:
+    """The one real-number rule of a request and the one owner of its float64: a real that
+    is not a bool and fits a float64.  Returns the float64 each caller range-tests and keeps."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float64") from None
 
 
 def _check_shape(n: int, p: int) -> None:
@@ -140,8 +143,8 @@ class HeavyTailMarginal:
     """Coordinate law whose projection to the sphere we sample.
 
     kind is one of "cauchy", "student_t", "pareto", "centered_chisq1";
-    param carries the t degrees of freedom or the Pareto tail index, a real
-    number (`_check_real`) in its range, stored as its float64, so the
+    param carries the t degrees of freedom or the Pareto tail index: the
+    float64 that `_check_real` returns, range-tested and stored, so the
     classmethods and the draws take it as it is.
     """
 
@@ -152,12 +155,12 @@ class HeavyTailMarginal:
         if self.kind not in ("cauchy", "student_t", "pareto", "centered_chisq1"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if self.kind in ("student_t", "pareto"):
-            _check_real(param=self.param)
-            if self.kind == "student_t" and not 0.0 < self.param < math.inf:
+            param = _check_real("param", self.param)
+            if self.kind == "student_t" and not 0.0 < param < math.inf:
                 raise ValueError("student_t needs finite degrees of freedom > 0")
-            if self.kind == "pareto" and not 0.0 < self.param < 2.0:
+            if self.kind == "pareto" and not 0.0 < param < 2.0:
                 raise ValueError("pareto tail index must lie in (0, 2)")
-            object.__setattr__(self, "param", float(self.param))
+            object.__setattr__(self, "param", param)
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 
@@ -220,10 +223,10 @@ class AlternativeModel:
             raise ValueError(f"model {self.kind} takes no marginal")
         if self.kind != "fvml" and self.kappa != 0.0:
             raise ValueError(f"model {self.kind} takes no kappa")
-        _check_real(kappa=self.kappa)
-        if not 0.0 <= self.kappa < math.inf:  # also rejects NaN
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-        object.__setattr__(self, "kappa", float(self.kappa))
+        kappa = _check_real("kappa", self.kappa)
+        if not 0.0 <= kappa < math.inf:  # also rejects NaN
+            raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+        object.__setattr__(self, "kappa", kappa)
 
     @classmethod
     def uniform(cls) -> "AlternativeModel":

@@ -118,19 +118,20 @@ _COMPONENTS = (
 )
 
 
-def _check_level(level: float) -> None:
-    """The one level rule of a request: a real number (`_check_real`) with
-    0 < level < 1, which also refuses NaN."""
-    _check_real(level=level)
+def _check_level(level: float) -> float:
+    """The one level rule of a request: the float64 of `_check_real`, with
+    0 < level < 1, which also refuses NaN.  Returns that float64."""
+    level = _check_real("level", level)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    return level
 
 
 def fisher_threshold(level: float) -> float:
     """Cutoff for the smallest p-value: 1 - (1-level)^(1/3), as -expm1(log1p(-level)/3)
     so that a tiny level keeps its digits instead of cancelling to 0.  A level
     outside (0, 1) is refused by `_check_level`."""
-    _check_level(level)
+    level = _check_level(level)
     return -math.expm1(math.log1p(-level) / 3.0)
 
 
@@ -155,31 +156,30 @@ def fisher_combination(
     This is Tippett's min-p rule, not Fisher's -2 * sum(log p); the name and
     the "fisher" test label are kept so that artifacts stay stable.
     """
-    _check_real(p_rayleigh=p_rayleigh, p_bingham=p_bingham, p_packing=p_packing)
-    # float64 for a numpy float32, which numpy would combine at its own precision,
-    # and for a Fraction, which numpy's log1p refuses
-    ps = (float(p_rayleigh), float(p_bingham), float(p_packing))
+    ps = (_check_real("p_rayleigh", p_rayleigh), _check_real("p_bingham", p_bingham),
+          _check_real("p_packing", p_packing))
     for q in ps:
         if not 0.0 <= q <= 1.0:  # also refuses NaN
             raise ValueError(f"p-values must lie in [0, 1], got {q}")
+    level = _check_level(level)
     c, combined, reject = _fisher(*ps, level)
     return TestOutcome(
         test="fisher",
         statistic=float(c),
         p_value=float(combined),
         reject=bool(reject),
-        level=float(level),
+        level=level,
     )
 
 
-def _check_request(n: int, p: int, level: float) -> None:
+def _check_request(n: int, p: int, level: float) -> float:
     """Reject a shape or level that `evaluate_tests` cannot score: the one shape check
-    of a scored request, and `_check_level`."""
+    of a scored request, and `_check_level`, whose float64 it returns."""
     _check_integers(n=n, p=p)
     # the combined test needs the packing p-value, which needs n >= 3
     if n < 3 or p < 1:
         raise ValueError("need n >= 3 and p >= 1")
-    _check_level(level)
+    return _check_level(level)
 
 
 def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArrays]:
@@ -187,7 +187,7 @@ def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArra
 
     Elementwise over the summary's reductions.
     """
-    _check_request(summary.n, summary.p, level)
+    level = _check_request(summary.n, summary.p, level)
     out: dict[str, TestArrays] = {}
     for name, statistic, p_value in _COMPONENTS:
         stat = statistic(summary)
@@ -199,7 +199,7 @@ def evaluate_tests(summary: PairwiseSummary, level: float) -> dict[str, TestArra
 
 def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutcome]:
     """Compute all four test outcomes from one pairwise pass."""
-    _check_request(sample.n, sample.p, level)  # before the O(n^2 p) kernel, not after it
+    level = _check_request(sample.n, sample.p, level)  # before the O(n^2 p) kernel, not after it
     results = evaluate_tests(pairwise_summary(sample), level)
     return [
         TestOutcome(
@@ -207,7 +207,7 @@ def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutc
             statistic=float(r.statistic),
             p_value=float(r.p_value),
             reject=bool(r.reject),
-            level=float(level),
+            level=level,
         )
         for name, r in results.items()
     ]

@@ -133,3 +133,16 @@ class TestElementwise:
     def test_nan_anywhere_rejected(self):
         with pytest.raises(ValueError, match="must not be NaN"):
             upper_p_value(GUMBEL, np.array([0.0, float("nan")]))
+
+
+class TestLawRule:
+    """A law that is not a NullLaw member is refused, never read as the Gumbel law."""
+
+    @pytest.mark.parametrize("law", ["standard_normal", None], ids=["str", "none"])
+    @pytest.mark.parametrize("call", [lambda law: cdf(law, 0.0), lambda law: quantile(law, 0.5),
+                                      lambda law: upper_p_value(law, 1.0)],
+                             ids=["cdf", "quantile", "upper_p_value"])
+    def test_law_that_is_not_a_null_law_is_refused(self, call, law):
+        message = f"^law must be a NullLaw, got {re.escape(repr(law))}$"
+        with pytest.raises(ValueError, match=message):
+            call(law)

@@ -1,5 +1,6 @@
 import math
 import re
+import traceback
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -7,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphereuni import sampling
+from sphereuni import experiments, sampling, stats
+from sphereuni.experiments import ExperimentPlan, fvml_kappa, run_bingham_scaling_diagnostic
+from sphereuni.nulldist import NullLaw, quantile
 from sphereuni.sampling import (
     AlternativeModel,
     HeavyTailMarginal,
@@ -158,6 +161,93 @@ class TestRealRule:
         assert repr(model) == repr(AlternativeModel.fvml(value))
         assert model == AlternativeModel.fvml(float(value))
         assert hash(model) == hash(AlternativeModel.fvml(float(value)))
+
+
+# a value the exact range test passes but whose float64 is out of range
+TINY = Fraction(1, 10**400)
+
+
+def raising_frame(info) -> str:
+    return traceback.extract_tb(info.value.__traceback__)[-1].name
+
+
+# every entry point of a real scalar: (name in _check_real's message, the call,
+# and the site's own message for a value whose float64 is inf)
+REAL_ENTRIES = {
+    "student_t": ("param", lambda v: HeavyTailMarginal("student_t", v),
+                  "^student_t needs finite degrees of freedom > 0$"),
+    "pareto": ("param", lambda v: HeavyTailMarginal("pareto", v),
+               r"^pareto tail index must lie in \(0, 2\)$"),
+    "student_t-classmethod": ("param", HeavyTailMarginal.student_t,
+                              "^student_t needs finite degrees of freedom > 0$"),
+    "pareto-classmethod": ("param", HeavyTailMarginal.pareto,
+                           r"^pareto tail index must lie in \(0, 2\)$"),
+    "fvml": ("kappa", lambda v: AlternativeModel("fvml", kappa=v),
+             "^kappa must be finite and >= 0, got inf$"),
+    "fvml-classmethod": ("kappa", AlternativeModel.fvml,
+                         "^kappa must be finite and >= 0, got inf$"),
+    "fvml_kappa": ("tau", lambda v: fvml_kappa(10, 5, v), "^tau must be finite and >= 0$"),
+    "quantile": ("u", lambda v: quantile(NullLaw.STANDARD_NORMAL, v),
+                 r"^quantile argument must lie in \(0, 1\), got inf$"),
+    "p_rayleigh": ("p_rayleigh", lambda v: stats.fisher_combination(v, 0.5, 0.5, 0.05),
+                   r"^p-values must lie in \[0, 1\], got inf$"),
+    "p_bingham": ("p_bingham", lambda v: stats.fisher_combination(0.5, v, 0.5, 0.05),
+                  r"^p-values must lie in \[0, 1\], got inf$"),
+    "p_packing": ("p_packing", lambda v: stats.fisher_combination(0.5, 0.5, v, 0.05),
+                  r"^p-values must lie in \[0, 1\], got inf$"),
+    "fisher_threshold": ("level", stats.fisher_threshold, r"^level must lie in \(0, 1\)$"),
+    "run_all_tests": ("level",
+                      lambda v: stats.run_all_tests(sample_uniform_sphere(5, 5, SeedSpec(0)), v),
+                      r"^level must lie in \(0, 1\)$"),
+    "ExperimentPlan": ("level",
+                       lambda v: ExperimentPlan(n=10, p=5, model=AlternativeModel.uniform(),
+                                                replications=3, level=v),
+                       r"^level must lie in \(0, 1\)$"),
+}
+
+
+class TestFloat64Rule:
+    """`_check_real` returns each real scalar's float64, and every range test checks it."""
+
+    @pytest.mark.parametrize("entry", REAL_ENTRIES)
+    def test_value_beyond_the_float64_range_is_refused(self, entry):
+        name, call, range_message = REAL_ENTRIES[entry]
+        for value in (10**400, -10**400):  # float() of these raises OverflowError
+            with pytest.raises(ValueError, match=f"^{name} is too large for a float64$") as info:
+                call(value)
+            assert raising_frame(info) == "_check_real"
+        # a longdouble beyond the float64 range converts to inf, which the site refuses
+        with pytest.raises(ValueError, match=range_message) as info:
+            call(np.longdouble(10) ** 400)
+        assert raising_frame(info) != "_check_real"
+
+    @pytest.mark.parametrize("make, value", [
+        (HeavyTailMarginal.pareto, TINY),
+        (HeavyTailMarginal.student_t, TINY),
+        (HeavyTailMarginal.pareto, 2 - TINY),
+    ], ids=["pareto-0", "student_t-0", "pareto-2"])
+    def test_param_that_rounds_out_of_range_is_refused(self, make, value):
+        with pytest.raises(ValueError, match="^(pareto tail index|student_t needs)"):
+            make(value)
+
+    @pytest.mark.parametrize("level", [TINY, 1 - TINY], ids=["0", "1"])
+    def test_level_that_rounds_out_of_range_is_refused_by_check_level(self, level):
+        with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\)$") as info:
+            stats.fisher_threshold(level)
+        assert raising_frame(info) == "_check_level"
+
+    def test_tail_index_that_rounds_to_2_never_reaches_bingham_scaling(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a replication ran before the marginal was refused")
+
+        monkeypatch.setattr(experiments, "_simulate", unreachable)
+        with pytest.raises(ValueError, match=r"^pareto tail index must lie in \(0, 2\)$"):
+            run_bingham_scaling_diagnostic(20, 10, HeavyTailMarginal.pareto(2 - TINY), 5, 1)
+
+    def test_plan_stores_the_level_as_a_float64(self):
+        plan = ExperimentPlan(n=10, p=5, model=AlternativeModel.uniform(), replications=3,
+                              level=np.float32(0.05))
+        assert type(plan.level) is float and plan.level == float(np.float32(0.05))
 
 
 class TestRowNorms:
