@@ -192,18 +192,21 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an `--out` that cannot name a file before the command does any work:
-    a directory, or a path whose parent is not a directory.  `_write_text`
+    """Refuse an `--out` that cannot name a file before the command does any work: a directory,
+    a path whose parent is not a directory, or a name the file system refuses.  `_write_text`
     still reports what this cannot see, such as a read-only directory."""
     if out is None:
         return
     path = Path(out)
-    if path.is_dir():
-        reason = "is a directory"
-    elif not path.parent.is_dir():
-        reason = f"{path.parent} is not a directory"
-    else:
-        return
+    try:
+        if path.is_dir():
+            reason = "is a directory"
+        elif not path.parent.is_dir():
+            reason = f"{path.parent} is not a directory"
+        else:
+            return
+    except OSError as exc:  # such as a name too long
+        reason = exc.strerror
     raise CliError(f"cannot write output file {out}: {reason}")
 
 
@@ -432,9 +435,10 @@ def marginal_label(m: HeavyTailMarginal) -> str:
         return "cauchy"
     if m.kind == "centered_chisq1":
         return "chisq1"
+    # the float64's shortest round-trip form, so that the label parses back to m
     if m.kind == "student_t":
-        return f"t:{m.param:g}"
-    return f"pareto:{m.param:g}"
+        return f"t:{m.param!r}"
+    return f"pareto:{m.param!r}"
 
 
 def parse_scenarios(spec: str) -> tuple[tuple[int, int], ...]:

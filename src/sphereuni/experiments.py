@@ -108,12 +108,15 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class DiagnosticReport:
-    """Named scalar metrics from one diagnostic run."""
+    """Named scalar metrics from one diagnostic run.  It owns its numbers: each
+    metric is stored as the float64 of `_check_real`, which must be finite, so a
+    numpy scalar given here is kept as the Python float it equals."""
 
     kind: str
     metrics: dict[str, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "metrics", {k: _check_real(k, v) for k, v in self.metrics.items()})
         for key, value in self.metrics.items():
             if not math.isfinite(value):
                 raise ValueError(f"diagnostic metric {key} is not finite: {value}")
@@ -205,17 +208,15 @@ def _require_symmetric(marginal: HeavyTailMarginal, what: str) -> None:
         raise ValueError(f"{what} requires a symmetric marginal, got {marginal.kind}")
 
 
-def _require_tail_index(marginal: HeavyTailMarginal, what: str) -> float:
-    alpha = marginal.tail_index
-    if alpha is None:
-        raise ValueError(f"{what} needs a regular-variation index in (0, 2)")
-    return alpha
-
-
-def _require_spread(plan: ExperimentPlan, what: str) -> None:
-    # a standard deviation or a correlation needs at least two replications
-    if plan.replications < 2:
+def _diagnostic_plan(what: str, model: AlternativeModel, n: int, p: int, replications: int,
+                     master_seed: int, level: float, spread: bool = True) -> ExperimentPlan:
+    """The plan of diagnostic `what`, built before any arithmetic on n or p.  A diagnostic
+    that takes a standard deviation or a correlation (`spread`) needs two replications."""
+    plan = ExperimentPlan(n=n, p=p, model=model, replications=replications, level=level,
+                          master_seed=master_seed)
+    if spread and plan.replications < 2:
         raise ValueError(f"{what}: replications must be >= 2")
+    return plan
 
 
 def run_rayleigh_blindness_diagnostic(
@@ -229,23 +230,21 @@ def run_rayleigh_blindness_diagnostic(
 ) -> DiagnosticReport:
     """How close the mean-direction statistic stays to N(0,1) under the
     symmetric heavy-tailed alternative (where it is asymptotically blind)."""
-    _require_symmetric(marginal, "rayleigh blindness diagnostic")
-    plan = ExperimentPlan(
-        n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
-        level=level, master_seed=master_seed,
-    )
-    _require_spread(plan, "rayleigh blindness diagnostic")
+    what = "rayleigh blindness diagnostic"
+    _require_symmetric(marginal, what)
+    plan = _diagnostic_plan(what, AlternativeModel.alpha_spherical(marginal), n, p,
+                            replications, master_seed, level)
     _, results = _simulate(plan, threads)
     values = results["rayleigh"].statistic
     ks = scipy_stats.kstest(values, "norm")
     return DiagnosticReport(
         kind="rayleigh-blindness",
         metrics={
-            "ks_distance": float(ks.statistic),
-            "ks_pvalue": float(ks.pvalue),
-            "rejection_rate": float(results["rayleigh"].reject.mean()),
-            "stat_mean": float(values.mean()),
-            "stat_sd": float(values.std(ddof=1)),
+            "ks_distance": ks.statistic,
+            "ks_pvalue": ks.pvalue,
+            "rejection_rate": results["rayleigh"].reject.mean(),
+            "stat_mean": values.mean(),
+            "stat_sd": values.std(ddof=1),
         },
     )
 
@@ -261,28 +260,28 @@ def run_bingham_scaling_diagnostic(
 ) -> DiagnosticReport:
     """Spread of sqrt(n)/p times the axial statistic against its
     heavy-tailed limit sd (2-alpha)/sqrt(8*gamma) with gamma = p/n."""
-    _require_symmetric(marginal, "bingham scaling diagnostic")
-    alpha = _require_tail_index(marginal, "bingham scaling diagnostic")
-    plan = ExperimentPlan(
-        n=n, p=p, model=AlternativeModel.alpha_spherical(marginal), replications=replications,
-        level=level, master_seed=master_seed,
-    )
-    _require_spread(plan, "bingham scaling diagnostic")
+    what = "bingham scaling diagnostic"
+    _require_symmetric(marginal, what)
+    alpha = marginal.tail_index
+    if alpha is None:
+        raise ValueError(f"{what} needs a regular-variation index in (0, 2)")
+    plan = _diagnostic_plan(what, AlternativeModel.alpha_spherical(marginal), n, p,
+                            replications, master_seed, level)
     gamma = p / n
     _, results = _simulate(plan, threads)
     scaled = math.sqrt(n) / p * results["bingham"].statistic
     theoretical_sd = (2.0 - alpha) / math.sqrt(8.0 * gamma)
-    empirical_sd = float(scaled.std(ddof=1))
+    empirical_sd = scaled.std(ddof=1)
     return DiagnosticReport(
         kind="bingham-scaling",
         metrics={
             "alpha": alpha,
             "gamma": gamma,
-            "empirical_mean": float(scaled.mean()),
+            "empirical_mean": scaled.mean(),
             "empirical_sd": empirical_sd,
             "theoretical_sd": theoretical_sd,
             "sd_ratio": empirical_sd / theoretical_sd,
-            "rejection_rate": float(results["bingham"].reject.mean()),
+            "rejection_rate": results["bingham"].reject.mean(),
         },
     )
 
@@ -304,19 +303,17 @@ def run_packing_lln_diagnostic(
     """
     if isinstance(model, HeavyTailMarginal):
         model = AlternativeModel.alpha_spherical(model)
-    plan = ExperimentPlan(
-        n=n, p=p, model=model, replications=replications, level=level,
-        master_seed=master_seed,
-    )
+    plan = _diagnostic_plan("packing lln diagnostic", model, n, p, replications, master_seed,
+                            level, spread=False)
     summary, results = _simulate(plan, threads)
     max_abs = summary.max_abs_inner
     return DiagnosticReport(
         kind="packing-lln",
         metrics={
-            "median_max_abs_inner": float(np.quantile(max_abs, 0.5)),
-            "q10_max_abs_inner": float(np.quantile(max_abs, 0.1)),
+            "median_max_abs_inner": np.quantile(max_abs, 0.5),
+            "q10_max_abs_inner": np.quantile(max_abs, 0.1),
             "null_max_reference": null_max_reference(n, p),
-            "packing_rate": float(results["packing"].reject.mean()),
+            "packing_rate": results["packing"].reject.mean(),
         },
     )
 
@@ -331,11 +328,8 @@ def run_independence_diagnostic(
 ) -> DiagnosticReport:
     """Pairwise correlations and the joint-below-medians probability of
     the three statistics under uniformity, plus the combined test's size."""
-    plan = ExperimentPlan(
-        n=n, p=p, model=AlternativeModel.uniform(), replications=replications, level=level,
-        master_seed=master_seed,
-    )
-    _require_spread(plan, "independence diagnostic")
+    plan = _diagnostic_plan("independence diagnostic", AlternativeModel.uniform(), n, p,
+                            replications, master_seed, level)
     if p < 5.0 * math.log(n) ** 2:
         warnings.warn(
             f"independence diagnostic at p={p}, n={n}: the asymptotic regime "
@@ -343,20 +337,18 @@ def run_independence_diagnostic(
             stacklevel=2,
         )
     _, results = _simulate(plan, threads)
-    r = results["rayleigh"].statistic
-    b = results["bingham"].statistic
-    pk = results["packing"].statistic
+    r, b, pk = (results[name].statistic for name in ("rayleigh", "bingham", "packing"))
     below = [(v <= np.quantile(v, 0.5)) for v in (r, b, pk)]
-    joint = float((below[0] & below[1] & below[2]).mean())
+    joint = (below[0] & below[1] & below[2]).mean()
     return DiagnosticReport(
         kind="independence",
         metrics={
-            "corr_rb": float(np.corrcoef(r, b)[0, 1]),
-            "corr_rp": float(np.corrcoef(r, pk)[0, 1]),
-            "corr_bp": float(np.corrcoef(b, pk)[0, 1]),
+            "corr_rb": np.corrcoef(r, b)[0, 1],
+            "corr_rp": np.corrcoef(r, pk)[0, 1],
+            "corr_bp": np.corrcoef(b, pk)[0, 1],
             "joint_at_medians": joint,
             "joint_vs_product_gap": abs(joint - 0.125),
-            "fisher_size": float(results["fisher"].reject.mean()),
+            "fisher_size": results["fisher"].reject.mean(),
         },
     )
 
@@ -391,15 +383,13 @@ def run_fvml_packing_blindness(
     null rejection rate while the mean-direction test gains power.
     """
     # the uniform plan checks n, p, replications, level and seed before fvml_kappa checks tau
-    null_plan = ExperimentPlan(
-        n=n, p=p, model=AlternativeModel.uniform(), replications=replications, level=level,
-        master_seed=master_seed,
-    )
+    null_plan = _diagnostic_plan("fvml blindness diagnostic", AlternativeModel.uniform(), n, p,
+                                 replications, master_seed, level, spread=False)
     kappa = fvml_kappa(n, p, tau)
     _, alt = _simulate(replace(null_plan, model=AlternativeModel.fvml(kappa)), threads)
     _, null = _simulate(null_plan, threads, seed_offset=replications)
-    packing_rate = float(alt["packing"].reject.mean())
-    packing_rate_null = float(null["packing"].reject.mean())
+    packing_rate = alt["packing"].reject.mean()
+    packing_rate_null = null["packing"].reject.mean()
     ks = scipy_stats.ks_2samp(alt["packing"].statistic, null["packing"].statistic)
     return DiagnosticReport(
         kind="fvml-blindness",
@@ -408,9 +398,9 @@ def run_fvml_packing_blindness(
             "packing_rate": packing_rate,
             "packing_rate_null": packing_rate_null,
             "packing_rate_gap": abs(packing_rate - packing_rate_null),
-            "rayleigh_rate": float(alt["rayleigh"].reject.mean()),
-            "rayleigh_rate_null": float(null["rayleigh"].reject.mean()),
-            "ks_distance_packing_vs_null": float(ks.statistic),
-            "ks_pvalue_packing_vs_null": float(ks.pvalue),
+            "rayleigh_rate": alt["rayleigh"].reject.mean(),
+            "rayleigh_rate_null": null["rayleigh"].reject.mean(),
+            "ks_distance_packing_vs_null": ks.statistic,
+            "ks_pvalue_packing_vs_null": ks.pvalue,
         },
     )

@@ -46,10 +46,13 @@ class NullLaw(enum.Enum):
 
 
 def _as_array(x, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
+    values = np.asarray(x)
+    if values.dtype.kind not in "iuf":  # a str, bool, complex, None, Fraction or too large an int
+        raise ValueError(f"{what} must be an integer or float, or an array of them, got {x!r}")
+    values = values.astype(np.float64, copy=False)  # a float64 array is not copied
+    if np.isnan(values).any():
         raise ValueError(f"{what} must not be NaN")
-    return x
+    return values
 
 
 def _unwrap(values: np.ndarray) -> float | np.ndarray:

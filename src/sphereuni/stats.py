@@ -66,11 +66,20 @@ class PairwiseSummary:
 
 @dataclass(frozen=True)
 class TestOutcome:
+    """One test's result on one sample.  It owns its numbers: statistic, p_value
+    and level are stored as the float64 of `_check_real`, and reject as a bool, so
+    a numpy scalar given here is kept as the Python value it equals."""
+
     test: str  # "rayleigh" | "bingham" | "packing" | "fisher"
     statistic: float
     p_value: float
     reject: bool
     level: float
+
+    def __post_init__(self) -> None:
+        for name in ("statistic", "p_value", "level"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+        object.__setattr__(self, "reject", bool(self.reject))
 
 
 class TestArrays(NamedTuple):
@@ -162,14 +171,7 @@ def fisher_combination(
         if not 0.0 <= q <= 1.0:  # also refuses NaN
             raise ValueError(f"p-values must lie in [0, 1], got {q}")
     level = _check_level(level)
-    c, combined, reject = _fisher(*ps, level)
-    return TestOutcome(
-        test="fisher",
-        statistic=float(c),
-        p_value=float(combined),
-        reject=bool(reject),
-        level=level,
-    )
+    return TestOutcome("fisher", *_fisher(*ps, level), level=level)
 
 
 def _check_request(n: int, p: int, level: float) -> float:
@@ -201,13 +203,4 @@ def run_all_tests(sample: SphericalSample, level: float = 0.05) -> list[TestOutc
     """Compute all four test outcomes from one pairwise pass."""
     level = _check_request(sample.n, sample.p, level)  # before the O(n^2 p) kernel, not after it
     results = evaluate_tests(pairwise_summary(sample), level)
-    return [
-        TestOutcome(
-            test=name,
-            statistic=float(r.statistic),
-            p_value=float(r.p_value),
-            reject=bool(r.reject),
-            level=level,
-        )
-        for name, r in results.items()
-    ]
+    return [TestOutcome(name, *r, level=level) for name, r in results.items()]

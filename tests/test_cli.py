@@ -45,8 +45,11 @@ class TestParsers:
     @pytest.mark.parametrize(
         "marginal, label",
         [(HeavyTailMarginal.cauchy(), "cauchy"), (HeavyTailMarginal.centered_chisq1(), "chisq1"),
-         (HeavyTailMarginal.student_t(1.5), "t:1.5"), (HeavyTailMarginal.pareto(0.8), "pareto:0.8")],
-        ids=["cauchy", "chisq1", "t", "pareto"],
+         (HeavyTailMarginal.student_t(1.5), "t:1.5"), (HeavyTailMarginal.pareto(0.8), "pareto:0.8"),
+         # more digits than a %g label keeps
+         (HeavyTailMarginal.pareto(1.0000001), "pareto:1.0000001"),
+         (HeavyTailMarginal.student_t(1.2345678), "t:1.2345678")],
+        ids=["cauchy", "chisq1", "t", "pareto", "pareto-8-digits", "t-8-digits"],
     )
     def test_marginal_label_reads_back(self, marginal, label):
         assert marginal_label(marginal) == label
@@ -334,7 +337,8 @@ class TestOutputFile:
             monkeypatch.setattr(cli, self.WORK[command], work)
 
     @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
-    @pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize("out", ["missing/out.txt", ".", "a" * 300],
+                             ids=["missing-dir", "directory", "name-too-long"])
     def test_unwritable_out_is_exit_2(self, tmp_path, capsys, monkeypatch, argv, out):
         # the path is refused before the command's work: that work, here one that
         # raises, never runs

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -157,6 +158,17 @@ class TestDiagnosticReportType:
     def test_rejects_non_finite_metrics(self):
         with pytest.raises(ValueError):
             DiagnosticReport(kind="x", metrics={"bad": float("nan")})
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(3)],
+                             ids=["float32", "float64", "int64"])
+    def test_numpy_metric_is_stored_as_a_python_float(self, value):
+        report = DiagnosticReport(kind="x", metrics={"m": value})
+        assert type(report.metrics["m"]) is float and report.metrics["m"] == float(value)
+        json.dumps(dataclasses.asdict(report))
+
+    def test_str_metric_is_refused_by_check_real(self):
+        with pytest.raises(ValueError, match="^m must be a real number, got '0.5'$"):
+            DiagnosticReport(kind="x", metrics={"m": "0.5"})
 
 
 class TestRayleighBlindness:

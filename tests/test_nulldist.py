@@ -1,11 +1,20 @@
 import math
 import re
+import traceback
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sphereuni.nulldist import GUMBEL_RATE, NullLaw, cdf, quantile, upper_p_value
+from sphereuni.nulldist import (
+    GUMBEL_RATE,
+    NullLaw,
+    cdf,
+    gumbel_p_value,
+    normal_p_value,
+    quantile,
+    upper_p_value,
+)
 
 NORMAL = NullLaw.STANDARD_NORMAL
 GUMBEL = NullLaw.PACKING_GUMBEL
@@ -146,3 +155,25 @@ class TestLawRule:
         message = f"^law must be a NullLaw, got {re.escape(repr(law))}$"
         with pytest.raises(ValueError, match=message):
             call(law)
+
+
+class TestStatisticRule:
+    """A statistic that is not real is refused by `_as_array`, never parsed or scored."""
+
+    @pytest.mark.parametrize("x", ["1", True, [1, "2"], 10**400, 1 + 2j, None],
+                             ids=["str", "bool", "list-with-str", "huge-int", "complex", "none"])
+    @pytest.mark.parametrize("call", [lambda x: cdf(NORMAL, x), lambda x: upper_p_value(NORMAL, x),
+                                      lambda x: normal_p_value(x, 10, 10),
+                                      lambda x: gumbel_p_value(x, 10, 10)],
+                             ids=["cdf", "upper_p_value", "normal_p_value", "gumbel_p_value"])
+    def test_statistic_that_is_not_real_is_refused(self, call, x):
+        message = ("^(x|statistic) must be an integer or float, or an array of them, "
+                   f"got {re.escape(repr(x))}$")
+        with pytest.raises(ValueError, match=message) as info:
+            call(x)
+        assert traceback.extract_tb(info.value.__traceback__)[-1].name == "_as_array"
+
+    def test_integer_statistics_are_scored_as_float64(self):
+        assert normal_p_value([0, 1], 10, 10).tolist() == normal_p_value(
+            np.array([0.0, 1.0]), 10, 10).tolist()
+        assert gumbel_p_value(np.int64(2), 10, 10) == gumbel_p_value(2.0, 10, 10)

@@ -350,6 +350,25 @@ class TestFisherCombination:
         assert outcome == expected
 
 
+class TestOutcomeType:
+    """A TestOutcome owns its numbers: Python floats and a bool, whatever numpy scalars it gets."""
+
+    @pytest.mark.parametrize("real", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_numpy_scalars_are_stored_as_python_values(self, real):
+        outcome = stats.TestOutcome("rayleigh", real(1.5), real(0.25), np.bool_(True), real(0.05))
+        values = (outcome.statistic, outcome.p_value, outcome.reject, outcome.level)
+        assert [type(v) for v in values] == [float, float, bool, float]
+        assert values == (1.5, 0.25, True, float(real(0.05)))
+        json.dumps(dataclasses.asdict(outcome))
+
+    @pytest.mark.parametrize("field", ["statistic", "p_value", "level"])
+    def test_str_is_refused_by_check_real(self, field):
+        values = dict(test="rayleigh", statistic=1.5, p_value=0.25, reject=False, level=0.05)
+        values[field] = "0.5"
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got '0.5'$"):
+            stats.TestOutcome(**values)
+
+
 class TestRunAllTests:
     def test_outcome_contract(self):
         sample = sample_uniform_sphere(30, 10, SeedSpec(75))
